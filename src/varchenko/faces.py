@@ -17,9 +17,11 @@ from .geometry import (
     SIGN_CHARS,
     SIGN_ORDER,
     ZERO,
+    _is_bounded_nonempty,
     affine_rank,
     feasible_interior,
     side_of,
+    transverse_direction,
 )
 
 
@@ -102,11 +104,10 @@ class FaceComplex:
     def face_is_bounded(self, face: Face) -> bool:
         cached = self._bounded.get(face.id)
         if cached is None:
-            from .geometry import is_bounded
-
             constraints = self.constraints_of(face)
-            # An empty arrangement has the single unbounded face R^n.
-            cached = bool(constraints) and is_bounded(constraints)
+            # An empty arrangement has the single unbounded face R^n; any
+            # other face is nonempty by construction, so no feasibility LP.
+            cached = bool(constraints) and _is_bounded_nonempty(constraints)
             self._bounded[face.id] = cached
         return cached
 
@@ -125,9 +126,19 @@ def face_leq(f: Face, g: Face) -> bool:
 def enumerate_faces(arrangement) -> FaceComplex:
     """Build the face poset by inserting hyperplanes one at a time.
 
-    Each partial face splits into up to three candidates on the new
-    hyperplane; the candidate matching the witness's side inherits the
-    witness for free, the other two are decided by exact LP.
+    Each partial face F, with a witness w in its relative interior, splits on
+    the new hyperplane H into those of F & H+, F & H, F & H- that are
+    nonempty, each with a witness of its own. At most one exact LP decides
+    the split:
+
+    * w on H: no LP. If H's normal lies in the span of F's zero normals,
+      F lies inside H and only the 0 extension exists. Otherwise a direction
+      d along F crossing H gives the witnesses w + eps*d and w - eps*d.
+    * w off H: one LP for F & H. If it is empty, F stays on w's side.
+      Otherwise its point z witnesses 0, and z + eps*(z - w) the far side.
+
+    The step eps is half the shortest one at which a strict constraint of F
+    would change sign, so every new witness stays inside F.
     """
     n = arrangement.dimension
     origin = tuple(Fraction(0) for _ in range(n))
@@ -136,17 +147,48 @@ def enumerate_faces(arrangement) -> FaceComplex:
         prefix = arrangement.hyperplanes[:k]
         grown = []
         for signs, witness in partial:
-            side = side_of(hyper, witness)
-            for cand in (PLUS, ZERO, MINUS):
-                if cand == side:
-                    grown.append((signs + (cand,), witness))
-                    continue
-                cons = list(zip(prefix, signs)) + [(hyper, cand)]
-                point = feasible_interior(cons)
-                if point is not None:
-                    grown.append((signs + (cand,), point))
+            constraints = list(zip(prefix, signs))
+            for point in _split_witnesses(constraints, witness, hyper):
+                grown.append((signs + (side_of(hyper, point),), point))
         partial = grown
     return _build_complex(arrangement, partial)
+
+
+def _split_witnesses(constraints, witness, hyper):
+    """One witness per nonempty piece of the face `constraints` cut by hyper."""
+    if hyper.value_at(witness) != 0:
+        base = feasible_interior(constraints + [(hyper, ZERO)])
+        if base is None:
+            return (witness,)
+        direction = tuple(z - w for z, w in zip(base, witness))
+        eps = _safe_step(constraints, base, direction)
+        return (witness, base, _move(base, direction, eps))
+    zero_normals = [h.normal for h, s in constraints if s == ZERO]
+    direction = transverse_direction(zero_normals, hyper.normal)
+    if direction is None:
+        return (witness,)
+    eps = _safe_step(constraints, witness, direction)
+    return (
+        witness,
+        _move(witness, direction, eps),
+        _move(witness, direction, -eps),
+    )
+
+
+def _safe_step(constraints, point, direction):
+    """Half the shortest step from point along +-direction that would bring
+    a strict constraint to its hyperplane; 1 if none ever does."""
+    steps = [
+        abs(h.value_at(point) / slope)
+        for h, s in constraints
+        if s != ZERO
+        and (slope := sum(a * d for a, d in zip(h.normal, direction))) != 0
+    ]
+    return min(steps) / 2 if steps else Fraction(1)
+
+
+def _move(point, direction, step):
+    return tuple(x + step * d for x, d in zip(point, direction))
 
 
 def brute_force_sign_vectors(arrangement):

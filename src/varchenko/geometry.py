@@ -179,32 +179,59 @@ def feasible_interior(constraints):
     return tuple(result.x[i] - result.x[n + i] for i in range(n))
 
 
-def affine_rank(normals) -> int:
-    """Rank over Q of a list of vectors, via fraction Gaussian elimination."""
-    rows = [list(map(_frac, v)) for v in normals]
+def _echelon(vectors):
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    rows = [list(map(_frac, v)) for v in vectors]
     if not rows:
-        return 0
+        return [], []
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("vectors must have equal length")
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < width:
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         pivot = next(
             (i for i in range(rank, len(rows)) if rows[i][col] != 0), None
         )
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / lead
+        rows[rank] = [v / lead for v in rows[rank]]
+        for i in range(len(rows)):
+            factor = rows[i][col]
+            if i != rank and factor != 0:
                 rows[i] = [v - factor * p for v, p in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def affine_rank(normals) -> int:
+    """Rank over Q of a list of vectors, via fraction Gaussian elimination."""
+    return len(_echelon(normals)[1])
+
+
+def transverse_direction(normals, normal):
+    """A direction d with n . d = 0 for every n in normals and normal . d != 0.
+
+    Such a d moves along the flat cut out by `normals` and crosses any
+    hyperplane with the given normal. Returns None when `normal` lies in the
+    span of `normals`, i.e. when no such direction exists. Deterministic:
+    the first null-space basis vector (one per free column) that works.
+    """
+    rows, pivots = _echelon(normals)
+    for free in range(len(normal)):
+        if free in pivots:
+            continue
+        d = [Fraction(0)] * len(normal)
+        d[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            d[col] = -row[free]
+        if sum(a * x for a, x in zip(normal, d)) != 0:
+            return tuple(d)
+    return None
 
 
 def is_bounded(constraints) -> bool:
@@ -215,8 +242,16 @@ def is_bounded(constraints) -> bool:
     """
     if feasible_interior(constraints) is None:
         raise ValueError("constraint set is infeasible")
-    n = constraints[0][0].dimension
+    return _is_bounded_nonempty(constraints)
 
+
+def _is_bounded_nonempty(constraints) -> bool:
+    """`is_bounded` for a cell the caller knows to be nonempty.
+
+    Decides only whether the recession cone is {0}; on an empty cell the
+    answer is meaningless.
+    """
+    n = constraints[0][0].dimension
     # Fast path: equality normals already span R^n, so the cell is a point.
     zero_normals = [h.normal for h, s in constraints if s == ZERO]
     if affine_rank(zero_normals) == n:

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import varchenko.faces as faces_module
 from varchenko.faces import (
     brute_force_sign_vectors,
     centralization,
@@ -11,7 +13,17 @@ from varchenko.faces import (
     face_leq,
     panels,
 )
-from varchenko.geometry import MINUS, PLUS, ZERO, Arrangement, affine_rank, side_of
+from varchenko.geometry import (
+    MINUS,
+    PLUS,
+    SIGN_ORDER,
+    ZERO,
+    Arrangement,
+    Hyperplane,
+    affine_rank,
+    feasible_interior,
+    side_of,
+)
 from corpus import random_arrangement
 
 
@@ -171,3 +183,113 @@ def test_incremental_matches_brute_force_up_to_m5(complexes):
         )
     five = random_arrangement("faces-m5", n=2, m=5)
     assert signs_of(enumerate_faces(five)) == brute_force_sign_vectors(five)
+
+
+def _hyperplanes(n):
+    """Hyperplanes with coefficients in [-2, 2]: parallel and concurrent
+    families are common, and so are witnesses lying on a new hyperplane."""
+    coeff = st.integers(-2, 2)
+    normal = st.tuples(*[coeff] * n).filter(any)
+    return st.builds(
+        Hyperplane,
+        normal.map(lambda v: tuple(map(F, v))),
+        coeff.map(F),
+    )
+
+
+def _arrangements(n, max_m):
+    return st.lists(
+        _hyperplanes(n),
+        min_size=1,
+        max_size=max_m,
+        unique_by=lambda h: h.normalized_key(),
+    ).map(lambda hs: Arrangement(n, hs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_arrangements(2, 6), _arrangements(3, 5)))
+def test_incremental_matches_brute_force_small_coefficients(arrangement):
+    complex_ = enumerate_faces(arrangement)
+    assert signs_of(complex_) == brute_force_sign_vectors(arrangement)
+    for face in complex_.faces:
+        realised = tuple(
+            side_of(h, face.witness) for h in arrangement.hyperplanes
+        )
+        assert realised == face.signs
+
+
+X = Hyperplane((F(1), F(0)), F(0))  # x = 0
+Y = Hyperplane((F(0), F(1)), F(0))  # y = 0
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Records the constraint list of every feasibility LP enumeration makes."""
+    calls = []
+
+    def counting(constraints):
+        calls.append(constraints)
+        return feasible_interior(constraints)
+
+    monkeypatch.setattr(faces_module, "feasible_interior", counting)
+    return calls
+
+
+def _split_signs(constraints, witness, hyper):
+    points = faces_module._split_witnesses(constraints, witness, hyper)
+    for point in points:
+        assert all(side_of(h, point) == s for h, s in constraints)
+    return sorted((side_of(hyper, p) for p in points), key=SIGN_ORDER.get)
+
+
+def test_split_face_inside_hyperplane(lp_calls):
+    # The vertex x = y = 0 lies on x + y = 0: only the 0 extension, no LP.
+    diagonal = Hyperplane((F(1), F(1)), F(0))
+    constraints = [(X, ZERO), (Y, ZERO)]
+    assert _split_signs(constraints, (F(0), F(0)), diagonal) == [ZERO]
+    assert lp_calls == []
+
+
+def test_split_witness_on_hyperplane_crossing(lp_calls):
+    # The segment y = 0, -1 < x < 1 with witness (0, 0) crosses x = 0; the
+    # side witnesses must stay strictly inside the segment, and no LP runs.
+    left = Hyperplane((F(1), F(0)), F(-1))  # x = -1
+    right = Hyperplane((F(1), F(0)), F(1))  # x = 1
+    constraints = [(Y, ZERO), (left, PLUS), (right, MINUS)]
+    signs = _split_signs(constraints, (F(0), F(0)), X)
+    assert signs == [PLUS, ZERO, MINUS]
+    assert lp_calls == []
+
+
+def test_split_witness_off_hyperplane(lp_calls):
+    # The half-plane y > 0 with witness (0, 1) crosses x = 1 (one LP, three
+    # pieces) and misses y = -1 (one LP, the witness's side only).
+    crossing = Hyperplane((F(1), F(0)), F(1))
+    below = Hyperplane((F(0), F(1)), F(-1))
+    constraints = [(Y, PLUS)]
+    assert _split_signs(constraints, (F(0), F(1)), crossing) == [
+        PLUS,
+        ZERO,
+        MINUS,
+    ]
+    assert _split_signs(constraints, (F(0), F(1)), below) == [PLUS]
+    assert len(lp_calls) == 2
+
+
+def test_at_most_one_lp_per_face_and_hyperplane(lp_calls, complexes):
+    for name in ("two_pairs", "r3"):
+        arrangement = complexes[name].arrangement
+        lp_calls.clear()
+        enumerate_faces(arrangement)
+        pairs = [
+            (tuple(constraints[:-1]), constraints[-1])
+            for constraints in lp_calls
+        ]
+        assert all(last[1] == ZERO for _, last in pairs)
+        assert len(set(pairs)) == len(pairs)
+        n, hyperplanes = arrangement.dimension, arrangement.hyperplanes
+        partial_faces = sum(
+            len(enumerate_faces(Arrangement(n, hyperplanes[:k])).faces)
+            for k in range(len(hyperplanes))
+        )
+        assert len(pairs) <= partial_faces
