@@ -41,7 +41,6 @@ from .polyring import (
     Polynomial,
     VarId,
     eval_mod_p,
-    exact_div,
     format_polynomial,
     parse_polynomial,
     weight,

@@ -144,9 +144,19 @@ def _apartment_args(parser):
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _trial_args(parser):
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=10)
+    parser.add_argument("--trials", type=_positive_int, default=10)
     parser.add_argument("--jobs", type=int, default=1)
 
 

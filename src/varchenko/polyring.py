@@ -38,10 +38,6 @@ def var_of_index(index: int) -> VarId:
     return VarId(index // 2, PLUS if index % 2 == 0 else MINUS)
 
 
-class ExactDivisionError(ArithmeticError):
-    """Division was requested for polynomials without an exact quotient."""
-
-
 class Polynomial:
     """Immutable sparse polynomial with exact integer coefficients."""
 
@@ -100,9 +96,6 @@ class Polynomial:
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
-
-    def total_degree(self) -> int:
-        return max((sum(mono) for mono in self.terms), default=0)
 
     def variables(self):
         """Sorted VarIds with a nonzero exponent somewhere."""
@@ -197,35 +190,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
-
-
-def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient p/q when q divides p exactly; otherwise raises.
-
-    Standard leading-term cancellation in graded lex order. When the
-    division is exact the loop strictly reduces the remainder's leading
-    monomial, so it terminates; any non-divisible step means the quotient
-    does not exist in the ring.
-    """
-    p._check(q)
-    if q.is_zero():
-        raise ExactDivisionError("division by the zero polynomial")
-    q_mono, q_coef = q.leading_term()
-    quotient: dict = {}
-    remainder = p
-    while not remainder.is_zero():
-        r_mono, r_coef = remainder.leading_term()
-        factor = tuple(a - b for a, b in zip(r_mono, q_mono))
-        if any(e < 0 for e in factor) or r_coef % q_coef != 0:
-            raise ExactDivisionError(
-                "polynomial division is not exact "
-                f"(remainder leading term {r_mono} vs divisor {q_mono})"
-            )
-        c = r_coef // q_coef
-        quotient[factor] = c
-        piece = Polynomial(p.nvars, {factor: c})
-        remainder = remainder - piece * q
-    return Polynomial(p.nvars, quotient)
 
 
 def eval_mod_p(poly: Polynomial, assignment, prime: int) -> int:

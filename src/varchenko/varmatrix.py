@@ -19,7 +19,6 @@ from .polyring import (
     Polynomial,
     VarId,
     eval_mod_p,
-    exact_div,
     format_polynomial,
     var_of_index,
     weight,
@@ -29,7 +28,6 @@ from .tits import nested_interval, opposite_through, rank, tits_product
 
 DEFAULT_PRIME = 2**61 - 1
 DEFAULT_SYMBOLIC_THRESHOLD = 12
-COFACTOR_LIMIT = 6
 
 
 def separator_set(c: Face, d: Face):
@@ -114,104 +112,83 @@ def varchenko_matrix(chambers) -> VMatrix:
 # -- determinants -----------------------------------------------------------
 
 
-def det_symbolic(matrix: VMatrix, cofactor_limit: int = COFACTOR_LIMIT) -> Polynomial:
-    """Exact determinant over Z[h].
+def det_symbolic(matrix: VMatrix) -> Polynomial:
+    """Exact determinant over Z[h]: row-by-row cofactor expansion memoized
+    on column subsets.
 
-    Plain cofactor recursion up to `cofactor_limit`, cofactor expansion
-    with column-subset memoization above it. The memoized route only ever
-    multiplies a minor by an original matrix entry (a monomial), which
-    keeps intermediate growth far below fraction-free elimination on these
-    matrices; `_det_bareiss` remains available for cross-checks.
+    Level r holds the minors of the first r rows on every r-subset of
+    columns, keyed by column bitmask. Adding row r to the subset T at
+    column j contributes sign (-1)^(r + index of j in T). A minor is only
+    ever multiplied by an original entry, which keeps intermediate growth
+    far below fraction-free elimination on these matrices.
+
+    Monomials are packed into ints, w bits per variable. No exponent of a
+    partial minor exceeds the sum over rows of the row's largest exponent
+    of that variable, and w is wide enough for the largest such bound, so
+    fields never carry and multiplying two monomials is one int addition.
     """
     entries = matrix.entries
     nvars = matrix.nvars
-    if matrix.size <= cofactor_limit:
-        return _det_cofactor(entries, list(range(matrix.size)), nvars)
-    return _det_minor_expansion(entries, nvars)
-
-
-def _det_cofactor(entries, cols, nvars) -> Polynomial:
-    row = len(entries) - len(cols)
-    if not cols:
-        return Polynomial.one(nvars)
-    total = Polynomial.zero(nvars)
-    for k, j in enumerate(cols):
-        entry = entries[row][j]
-        if entry.is_zero():
-            continue
-        minor = _det_cofactor(entries, cols[:k] + cols[k + 1 :], nvars)
-        piece = entry * minor
-        total = total + (piece if k % 2 == 0 else -piece)
-    return total
-
-
-def _det_minor_expansion(entries, nvars) -> Polynomial:
-    """Row-by-row cofactor expansion memoized on column subsets.
-
-    Level r holds the minors of the first r rows on every r-subset of
-    columns (as raw term dicts, keyed by column bitmask). Adding row r to
-    the subset T at column j contributes sign (-1)^(r + index of j in T).
-    """
     n = len(entries)
-    level = {0: {(0,) * nvars: 1}}
+    bounds = [0] * nvars
+    for row in entries:
+        monos = [mono for entry in row for mono in entry.terms]
+        if monos:
+            bounds = [b + max(col) for b, col in zip(bounds, zip(*monos))]
+    width = max(1, max(bounds, default=0).bit_length())
+    shifts = [i * width for i in range(nvars)]
+    packed = [
+        [
+            [
+                (sum(e << s for e, s in zip(mono, shifts)), coef)
+                for mono, coef in entry.terms.items()
+                if coef
+            ]
+            for entry in row
+        ]
+        for row in entries
+    ]
+
+    level = {0: {0: 1}}
     for r in range(n):
-        row_terms = [entries[r][j].terms for j in range(n)]
+        row = [(1 << j, terms) for j, terms in enumerate(packed[r]) if terms]
         nxt: dict = {}
-        for mask, minor_terms in level.items():
-            if not minor_terms:
-                continue
-            for j in range(n):
-                bit = 1 << j
+        for mask, minor in level.items():
+            items = minor.items()
+            for bit, terms in row:
                 if mask & bit:
                     continue
-                entry_terms = row_terms[j]
-                if not entry_terms:
-                    continue
-                idx = (mask & (bit - 1)).bit_count()
-                sign = -1 if (r + idx) % 2 else 1
+                sign = -1 if (r + (mask & (bit - 1)).bit_count()) % 2 else 1
                 acc = nxt.setdefault(mask | bit, {})
-                for e_mono, e_coef in entry_terms.items():
+                get = acc.get
+                for e_key, e_coef in terms:
                     coef = e_coef * sign
-                    for m_mono, m_coef in minor_terms.items():
-                        key = tuple(x + y for x, y in zip(e_mono, m_mono))
-                        total = acc.get(key, 0) + coef * m_coef
-                        if total:
-                            acc[key] = total
-                        else:
-                            del acc[key]
-        level = nxt
-    return Polynomial(nvars, level.get((1 << n) - 1, {}))
+                    if coef == 1:
+                        for key, m_coef in items:
+                            key += e_key
+                            acc[key] = get(key, 0) + m_coef
+                    elif coef == -1:
+                        for key, m_coef in items:
+                            key += e_key
+                            acc[key] = get(key, 0) - m_coef
+                    else:
+                        for key, m_coef in items:
+                            key += e_key
+                            acc[key] = get(key, 0) + coef * m_coef
+        level = {}
+        for mask, acc in nxt.items():
+            kept = {key: coef for key, coef in acc.items() if coef}
+            if kept:
+                level[mask] = kept
 
-
-def _det_bareiss(entries, nvars) -> Polynomial:
-    n = len(entries)
-    m = [row[:] for row in entries]
-    one = Polynomial.one(nvars)
-    previous = one
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-            )
-            if swap is None:
-                return Polynomial.zero(nvars)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                numerator = pivot * row_i[j] - lead * m[k][j]
-                row_i[j] = (
-                    numerator
-                    if previous.is_one()
-                    else exact_div(numerator, previous)
-                )
-        previous = pivot
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+    field = (1 << width) - 1
+    return Polynomial(
+        nvars,
+        {
+            tuple((key >> s) & field for s in shifts): coef
+            for key, coef in level.get((1 << n) - 1, {}).items()
+        },
+    )
 
 
 class ModularTrial(NamedTuple):

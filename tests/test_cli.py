@@ -146,6 +146,24 @@ def test_varchenko_modular_jobs_deterministic(data_dir, capsys):
     assert first["trials"] == second["trials"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["varchenko", "crossing.arr", "--mode", "modular", "--trials", "0"],
+        ["verify", "crossing.arr", "--checks", "factorization", "--trials", "0"],
+        ["verify", "crossing.arr", "--checks", "factorization", "--trials", "-1"],
+    ],
+)
+def test_trials_below_one_is_a_usage_error(data_dir, capsys, argv):
+    argv = [argv[0], str(data_dir / argv[1]), *argv[2:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--trials: must be at least 1" in err
+
+
 def test_env_seed_used_as_default(data_dir, capsys, monkeypatch):
     monkeypatch.setenv("VARCHENKO_SEED", "123")
     args = [

@@ -3,11 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from varchenko.geometry import MINUS, PLUS, ZERO
 from varchenko.polyring import (
-    ExactDivisionError,
     Polynomial,
     VarId,
     eval_mod_p,
-    exact_div,
     format_polynomial,
     parse_polynomial,
     weight,
@@ -65,33 +63,6 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-
-
-@settings(max_examples=60, deadline=None)
-@given(polynomials(), polynomials())
-def test_exact_div_roundtrip(p, q):
-    if q.is_zero():
-        with pytest.raises(ExactDivisionError):
-            exact_div(p, q)
-    else:
-        assert exact_div(p * q, q) == p
-
-
-def test_exact_div_examples():
-    x = var(0)
-    assert exact_div(ONE - x * x, ONE - x) == ONE + x
-    p = ONE - var(3) * var(3, MINUS)
-    assert exact_div(p, ONE) == p
-    a = ONE - var(0) * var(0, MINUS)
-    c = ONE - var(1) * var(1, MINUS)
-    assert exact_div(a * a * c, a) == a * c
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ExactDivisionError):
-        exact_div(ONE - var(0), ONE - var(1))
-    with pytest.raises(ExactDivisionError):
-        exact_div(Polynomial.constant(NV, 3), Polynomial.constant(NV, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varchenko.apartments import chambers_in, central_apartment_around, faces_in, find_apartment, touching_hyperplanes
+from varchenko.faces import enumerate_faces
+from varchenko.files import parse_arrangement
 from varchenko.files import bundled_text, parse_matrix
 from varchenko.geometry import MINUS, PLUS, ZERO
 from varchenko.polyring import (
     Polynomial,
     VarId,
     eval_mod_p,
+    var_of_index,
     format_polynomial,
     weight,
     zero_substitution,
@@ -27,9 +31,8 @@ from varchenko.varmatrix import (
     v,
     v_path_identity_check,
     varchenko_matrix,
+    VMatrix,
     verify_factorization,
-    _det_bareiss,
-    _det_minor_expansion,
 )
 from oracles import det_by_permutations
 
@@ -139,12 +142,85 @@ def test_det_constant_term_one(complexes):
 
 
 def test_det_strategies_agree(generic3, two_pairs):
-    for complex_ in (generic3, two_pairs):
-        matrix = varchenko_matrix(complex_.chambers())
-        dp = _det_minor_expansion(matrix.entries, matrix.nvars)
-        bareiss = _det_bareiss(matrix.entries, matrix.nvars)
-        assert dp == bareiss
-        assert dp == det_symbolic(matrix)
+    matrix = varchenko_matrix(generic3.chambers())
+    assert det_symbolic(matrix) == det_by_permutations(
+        matrix.entries, matrix.nvars
+    )
+    for subset, signs in (((0,), (MINUS,)), ((1,), (PLUS,)), ((2, 3), (PLUS, MINUS))):
+        apartment = find_apartment(two_pairs, subset, signs)
+        matrix = varchenko_matrix(chambers_in(two_pairs, apartment))
+        assert det_symbolic(matrix) == det_by_permutations(
+            matrix.entries, matrix.nvars
+        )
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Square matrices of general polynomials: zero entries, several terms,
+    nonzero coefficients in [-3, 3] and exponents up to 3."""
+    n = draw(st.integers(1, 5))
+    nvars = draw(st.integers(0, 4))
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+    coefficients = st.integers(-3, 3).filter(bool)
+    terms = st.dictionaries(monomials, coefficients, max_size=3)
+    entries = [
+        [Polynomial(nvars, draw(terms)) for _ in range(n)] for _ in range(n)
+    ]
+    return VMatrix(range(n), entries, nvars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_matrices())
+def test_det_symbolic_matches_leibniz_oracle(matrix):
+    assert det_symbolic(matrix) == det_by_permutations(
+        matrix.entries, matrix.nvars
+    )
+
+
+def test_det_symbolic_exponent_bound_fills_packed_field():
+    # x appears once per row, so its exponent bound is 3 = 2**2 - 1 and a
+    # field two bits wide must hold x^3 exactly; a narrower field would
+    # carry into y's bits. The same holds for y.
+    x = Polynomial.variable(2, var_of_index(0))
+    y = Polynomial.variable(2, var_of_index(1))
+    zero = Polynomial.zero(2)
+    matrix = VMatrix(range(3), [[x, y, zero], [zero, x, y], [y, zero, x]], 2)
+    det = det_symbolic(matrix)
+    assert det == x**3 + y**3
+    assert det == det_by_permutations(matrix.entries, matrix.nvars)
+
+
+def test_det_symbolic_singular_matrix():
+    x = Polynomial.variable(4, var_of_index(0))
+    y = Polynomial.variable(4, var_of_index(3))
+    one = Polynomial.one(4)
+    row = [one - x, x * y, y.scale(-2)]
+    matrix = VMatrix(range(3), [row, [x, one, y], row], 4)
+    assert det_symbolic(matrix).is_zero()
+
+
+def test_det_symbolic_without_variables():
+    one = Polynomial.one(0)
+    assert det_symbolic(VMatrix([0], [[one]], 0)) == one
+    assert det_symbolic(parse_matrix("vmatrix 1 0\n1\n")) == one
+    empty = enumerate_faces(parse_arrangement("dim 2\n"))
+    assert det_symbolic(varchenko_matrix(empty.chambers())) == one
+
+
+def test_det_symbolic_12_chamber_apartment_matches_modular():
+    # cyclic lines x + t y = -t^2, t = -3..2; the apartment H2^- holds 12
+    # chambers, the largest size the symbolic route serves.
+    text = "dim 2\n" + "".join(f"1 {t} {t * t}\n" for t in range(-3, 3))
+    complex_ = enumerate_faces(parse_arrangement(text))
+    apartment = find_apartment(complex_, (1,), (MINUS,))
+    matrix = varchenko_matrix(chambers_in(complex_, apartment))
+    assert matrix.size == 12
+    det = det_symbolic(matrix)
+    for trial in range(3):
+        assignment = modular_assignment(matrix.nvars, 3, trial, DEFAULT_PRIME)
+        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at(
+            matrix, assignment, DEFAULT_PRIME
+        )
 
 
 def test_det_modular_identity_at_zero(crossing):
