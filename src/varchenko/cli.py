@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .apartments import chambers_in, enumerate_apartments, find_apartment
+from .apartments import enumerate_apartments, find_apartment
 from .euler import lemma_ch_check, lemma_chm_check
 from .faces import enumerate_faces, format_signs
 from .files import (
@@ -30,15 +30,14 @@ from .report import SCHEMA_VERSION, VerificationReport
 from .tits import rank, tits_semigroup_check
 from .varmatrix import (
     DEFAULT_PRIME,
-    DEFAULT_SYMBOLIC_THRESHOLD,
     FactoredDet,
     beta_independence,
     beta_independence_check,
-    det_modular,
+    compare_with_product,
     det_symbolic,
     mad_recurrence_check,
-    modular_assignment,
     product_formula,
+    resolve_apartment,
     v_path_identity_check,
     varchenko_matrix,
     verify_factorization,
@@ -64,7 +63,7 @@ def _default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise SystemExit(f"VARCHENKO_SEED must be an integer, got {env!r}")
+        raise ValueError(f"VARCHENKO_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +156,6 @@ def _positive_int(text: str) -> int:
 def _trial_args(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=_positive_int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
 
 
 def _load(path: str):
@@ -169,7 +167,7 @@ def _load(path: str):
     return arrangement, enumerate_faces(arrangement)
 
 
-def _resolve_apartment(args, complex_):
+def _apartment_from_args(args, complex_):
     """The apartment selected by --subset/--apartment-signs, or None."""
     if args.subset is None and args.apartment_signs is None:
         return None
@@ -187,10 +185,6 @@ def _resolve_apartment(args, complex_):
         signs.append(CHAR_SIGNS[tok])
     if len(signs) != len(subset):
         raise ValueError("--apartment-signs length must match --subset")
-    m = complex_.arrangement.size
-    for h in subset:
-        if not 0 <= h < m:
-            raise ValueError(f"subset index {h} out of range 0..{m - 1}")
     apartment = find_apartment(complex_, subset, signs)
     if apartment is None:
         raise ValueError(
@@ -238,32 +232,15 @@ def cmd_faces(args) -> int:
 
 def cmd_varchenko(args) -> int:
     arrangement, complex_ = _load(args.file)
-    apartment = _resolve_apartment(args, complex_)
+    apartment = _apartment_from_args(args, complex_)
     seed = args.seed if args.seed is not None else _default_seed()
-
-    if apartment is None:
-        chambers = complex_.chambers()
-        faces = list(complex_.faces)
-        where = "full arrangement"
-    else:
-        from .apartments import faces_in
-
-        chambers = chambers_in(complex_, apartment)
-        faces = faces_in(complex_, apartment)
-        where = apartment.describe()
-
+    where, chambers, non_chambers = resolve_apartment(complex_, apartment)
     matrix = varchenko_matrix(chambers)
-    non_chambers = [f for f in faces if not f.is_chamber]
     betas, mismatches = beta_independence(complex_, non_chambers, chambers)
     factored = product_formula(complex_, non_chambers, betas)
-
-    mode = args.mode
-    if mode == "auto":
-        mode = (
-            "symbolic"
-            if len(chambers) <= DEFAULT_SYMBOLIC_THRESHOLD
-            else "modular"
-        )
+    mode, outcome = compare_with_product(
+        matrix, factored, args.mode, seed, args.trials
+    )
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -274,40 +251,28 @@ def cmd_varchenko(args) -> int:
         "factored": factored.text(),
         "mode": mode,
     }
-    verified = not mismatches
     if mismatches:
         payload["beta_mismatches"] = mismatches
-
     if mode == "symbolic":
-        determinant = det_symbolic(matrix)
-        expected = factored.expand()
+        determinant, expected = outcome
         payload["determinant"] = format_polynomial(determinant)
         payload["expanded_product"] = format_polynomial(expected)
-        verified = verified and determinant == expected
+        verified = determinant == expected
     else:
-        trials = det_modular(
-            matrix, seed=seed, trials=args.trials,
-            prime=DEFAULT_PRIME, jobs=args.jobs,
-        )
-        rows = []
-        for t in trials:
-            assignment = modular_assignment(
-                matrix.nvars, seed, t.trial, DEFAULT_PRIME
-            )
-            product_value = factored.eval_mod(assignment, DEFAULT_PRIME)
-            rows.append(
-                {
-                    "trial": t.trial,
-                    "digest": t.digest,
-                    "determinant": t.value,
-                    "product": product_value,
-                    "match": t.value == product_value,
-                }
-            )
-            verified = verified and t.value == product_value
         payload["seed"] = seed
         payload["prime"] = DEFAULT_PRIME
-        payload["trials"] = rows
+        payload["trials"] = [
+            {
+                "trial": t.trial,
+                "digest": t.digest,
+                "determinant": t.value,
+                "product": product,
+                "match": t.value == product,
+            }
+            for t, product in outcome
+        ]
+        verified = all(row["match"] for row in payload["trials"])
+    verified = verified and not mismatches
     payload["verified"] = verified
 
     if args.json:
@@ -335,8 +300,14 @@ def cmd_varchenko(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.all_apartments and (
+        args.subset is not None or args.apartment_signs is not None
+    ):
+        raise ValueError(
+            "--all-apartments cannot be combined with --subset/--apartment-signs"
+        )
     arrangement, complex_ = _load(args.file)
-    apartment = _resolve_apartment(args, complex_)
+    apartment = _apartment_from_args(args, complex_)
     seed = args.seed if args.seed is not None else _default_seed()
 
     if args.checks:
@@ -367,7 +338,7 @@ def cmd_verify(args) -> int:
         if name == "tits":
             report.add(tits_semigroup_check(complex_))
         elif name == "witt":
-            report.add(witt_sweep(complex_, jobs=args.jobs))
+            report.add(witt_sweep(complex_))
         elif name == "lemma_ch":
             report.add(lemma_ch_check(complex_))
         elif name == "lemma_chm":
@@ -382,13 +353,7 @@ def cmd_verify(args) -> int:
         elif name == "factorization":
             for apt in apartment_targets():
                 report.add(
-                    verify_factorization(
-                        complex_,
-                        apt,
-                        seed=seed,
-                        trials=args.trials,
-                        jobs=args.jobs,
-                    )
+                    verify_factorization(complex_, apt, seed=seed, trials=args.trials)
                 )
 
     if args.json:

@@ -24,7 +24,7 @@ def euler_closure(complex_: FaceComplex, chamber: Face) -> int:
     """Alternating cell count of the closed chamber: sum (-1)^dim over F <= D."""
     if not chamber.is_chamber:
         raise ValueError(f"euler_closure requires a chamber, got {chamber!r}")
-    cache = complex_._cache.setdefault("chi", {})
+    cache = complex_._chi
     if chamber.id not in cache:
         cache[chamber.id] = sum(
             -1 if f.dim % 2 else 1 for f in closure_faces(complex_, chamber)
@@ -60,7 +60,7 @@ def classify(complex_: FaceComplex, chamber: Face) -> str:
     """Chamber type tag: bounded, type1, type2, type3 or unknown."""
     if not chamber.is_chamber:
         raise ValueError(f"classify requires a chamber, got {chamber!r}")
-    cache = complex_._cache.setdefault("chamber_type", {})
+    cache = complex_._chamber_types
     if chamber.id not in cache:
         cache[chamber.id] = _classify(complex_, chamber)
     return cache[chamber.id]
@@ -155,7 +155,7 @@ _CHI_TABLE = {BOUNDED: lambda n: 1, TYPE1: lambda n: 0, TYPE2: lambda n: -1,
               TYPE3: lambda n: -1 if (n - 1) % 2 else 1}
 
 
-def lemma_ch_check(complex_: FaceComplex, context=None) -> CheckResult:
+def lemma_ch_check(complex_: FaceComplex) -> CheckResult:
     """chi of every classified chamber closure matches its type's value."""
     n = complex_.dimension
     failures = []
@@ -177,8 +177,7 @@ def lemma_ch_check(complex_: FaceComplex, context=None) -> CheckResult:
     details = {"checked": checked, "skipped": skipped}
     if failures:
         details["failures"] = failures
-        return CheckResult("lemma_chi_closure", FAIL, dict(context or {}), details)
-    return CheckResult("lemma_chi_closure", PASS, dict(context or {}), details)
+    return CheckResult("lemma_chi_closure", FAIL if failures else PASS, {}, details)
 
 
 def _admissible_panel_subsets(complex_: FaceComplex, chamber: Face):
@@ -193,7 +192,7 @@ def _admissible_panel_subsets(complex_: FaceComplex, chamber: Face):
         yield subset
 
 
-def lemma_chm_check(complex_: FaceComplex, context=None) -> CheckResult:
+def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
     """chi of chamber-minus-panels matches the two-case prediction:
     -1 for a type-1 chamber with bounded panel union, 0 otherwise."""
     failures = []
@@ -223,5 +222,4 @@ def lemma_chm_check(complex_: FaceComplex, context=None) -> CheckResult:
     details = {"checked": checked, "skipped": skipped}
     if failures:
         details["failures"] = failures
-        return CheckResult("lemma_chi_minus_panels", FAIL, dict(context or {}), details)
-    return CheckResult("lemma_chi_minus_panels", PASS, dict(context or {}), details)
+    return CheckResult("lemma_chi_minus_panels", FAIL if failures else PASS, {}, details)

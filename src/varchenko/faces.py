@@ -79,7 +79,9 @@ class FaceComplex:
         self._leq = leq
         self._bounded = {}
         self._closures = {}
-        self._cache = {}
+        self._traces = {}  # (chamber id, hyperplane) -> trace face or None
+        self._chi = {}  # chamber id -> Euler characteristic of its closure
+        self._chamber_types = {}  # chamber id -> classify() tag
 
     @property
     def dimension(self) -> int:

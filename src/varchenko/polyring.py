@@ -46,6 +46,8 @@ class Polynomial:
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         self.terms = dict(terms) if terms else {}
+        if 0 in self.terms.values():
+            self.terms = {m: c for m, c in self.terms.items() if c}
 
     # -- constructors -----------------------------------------------------
 

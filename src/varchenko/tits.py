@@ -94,7 +94,7 @@ def rank(complex_: FaceComplex, face: Face) -> int:
     return face.dim - complex_.min_dim
 
 
-def tits_semigroup_check(complex_: FaceComplex, context=None):
+def tits_semigroup_check(complex_: FaceComplex):
     """Exhaustive semigroup verification: associativity over all triples,
     idempotence, and the order/product compatibility F <= G iff FG = G."""
     from .report import FAIL, PASS, CheckResult
@@ -131,5 +131,4 @@ def tits_semigroup_check(complex_: FaceComplex, context=None):
     details = {"faces": len(faces), "triples": triples}
     if violations:
         details["violations"] = violations
-        return CheckResult("tits_semigroup", FAIL, dict(context or {}), details)
-    return CheckResult("tits_semigroup", PASS, dict(context or {}), details)
+    return CheckResult("tits_semigroup", FAIL if violations else PASS, {}, details)

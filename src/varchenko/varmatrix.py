@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
+from .apartments import chambers_in, faces_in
 from .faces import Face, FaceComplex, centralization, closure_faces
 from .geometry import ZERO
 from .polyring import (
@@ -142,7 +142,6 @@ def det_symbolic(matrix: VMatrix) -> Polynomial:
             [
                 (sum(e << s for e, s in zip(mono, shifts)), coef)
                 for mono, coef in entry.terms.items()
-                if coef
             ]
             for entry in row
         ]
@@ -222,18 +221,9 @@ def det_at(matrix: VMatrix, assignment, prime: int) -> int:
     return _det_mod(numeric, prime)
 
 
-def det_modular(
-    matrix: VMatrix,
-    seed=0,
-    trials: int = 10,
-    prime: int = DEFAULT_PRIME,
-    jobs: int = 1,
-):
-    """Determinant values at `trials` random evaluations mod prime.
-
-    Each trial is deterministic from (seed, trial index); results come back
-    in trial order regardless of the worker count.
-    """
+def det_modular(matrix: VMatrix, seed=0, trials: int = 10, prime: int = DEFAULT_PRIME):
+    """Determinant values at `trials` random evaluations mod prime, in trial
+    order; each trial is deterministic from (seed, trial index)."""
     if trials < 1:
         raise ValueError("need at least one trial")
 
@@ -245,9 +235,6 @@ def det_modular(
             det_at(matrix, assignment, prime),
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, range(trials)))
     return [run(t) for t in range(trials)]
 
 
@@ -285,7 +272,7 @@ def _chamber_trace(complex_: FaceComplex, chamber: Face, h: int):
     Combinatorial form: among the faces of the chamber's closure lying on
     H_h, the condition holds exactly when a unique maximum exists.
     """
-    cache = complex_._cache.setdefault("trace", {})
+    cache = complex_._traces
     key = (chamber.id, h)
     if key in cache:
         return cache[key]
@@ -406,39 +393,57 @@ def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> Factored
     return FactoredDet(nvars, factors)
 
 
+def resolve_apartment(complex_: FaceComplex, apartment):
+    """(description, chambers, non-chamber faces) of an apartment; None
+    stands for the full arrangement."""
+    if apartment is None:
+        where = "full arrangement"
+        faces = complex_.faces
+        chambers = complex_.chambers()
+    else:
+        where = apartment.describe()
+        faces = faces_in(complex_, apartment)
+        chambers = chambers_in(complex_, apartment)
+    return where, chambers, [f for f in faces if not f.is_chamber]
+
+
+def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, trials):
+    """The determinant of `matrix` beside the product formula, by one route.
+
+    `mode` "auto" takes the symbolic route up to DEFAULT_SYMBOLIC_THRESHOLD
+    chambers and the modular one beyond. Returns (mode, outcome): for
+    "symbolic" the outcome is (determinant, expanded product); for
+    "modular" it is one (ModularTrial, product value) pair per trial, both
+    taken at the trial's assignment mod DEFAULT_PRIME.
+    """
+    if mode == "auto":
+        mode = "symbolic" if matrix.size <= DEFAULT_SYMBOLIC_THRESHOLD else "modular"
+    if mode == "symbolic":
+        return mode, (det_symbolic(matrix), factored.expand())
+    return mode, [
+        (
+            t,
+            factored.eval_mod(
+                modular_assignment(matrix.nvars, seed, t.trial, DEFAULT_PRIME),
+                DEFAULT_PRIME,
+            ),
+        )
+        for t in det_modular(matrix, seed=seed, trials=trials)
+    ]
+
+
 def verify_factorization(
-    complex_: FaceComplex,
-    apartment=None,
-    symbolic_threshold: int = DEFAULT_SYMBOLIC_THRESHOLD,
-    seed=0,
-    trials: int = 10,
-    prime: int = DEFAULT_PRIME,
-    jobs: int = 1,
-    context=None,
+    complex_: FaceComplex, apartment=None, seed=0, trials: int = 10
 ) -> CheckResult:
     """Check the determinant factorization theorem on one apartment.
 
     Asserts that the multiplicity is independent of the chosen hyperplane,
-    then compares the Varchenko determinant against the product formula:
-    exactly (symbolic) up to `symbolic_threshold` chambers, by matched
-    modular evaluations beyond.
+    then compares the Varchenko determinant against the product formula
+    through `compare_with_product` in "auto" mode.
     """
-    from .apartments import chambers_in, faces_in
-
-    if apartment is None:
-        faces = list(complex_.faces)
-        chambers = complex_.chambers()
-        where = "full arrangement"
-    else:
-        faces = faces_in(complex_, apartment)
-        chambers = chambers_in(complex_, apartment)
-        where = apartment.describe()
-
-    ctx = dict(context or {})
-    ctx["apartment"] = where
+    where, chambers, non_chambers = resolve_apartment(complex_, apartment)
+    ctx = {"apartment": where}
     details: dict = {"chambers": len(chambers)}
-
-    non_chambers = [f for f in faces if not f.is_chamber]
     betas, mismatches = beta_independence(complex_, non_chambers, chambers)
     if mismatches:
         details["beta_mismatches"] = mismatches
@@ -446,38 +451,29 @@ def verify_factorization(
 
     factored = product_formula(complex_, non_chambers, betas)
     details["factored"] = factored.text()
-    matrix = varchenko_matrix(chambers)
-
-    if len(chambers) <= symbolic_threshold:
-        determinant = det_symbolic(matrix)
-        expected = factored.expand()
-        details["mode"] = "symbolic"
+    mode, outcome = compare_with_product(
+        varchenko_matrix(chambers), factored, "auto", seed, trials
+    )
+    details["mode"] = mode
+    if mode == "symbolic":
+        determinant, expected = outcome
         if determinant == expected:
             return CheckResult("factorization", PASS, ctx, details)
         details["determinant"] = format_polynomial(determinant)
         details["expected"] = format_polynomial(expected)
         return CheckResult("factorization", FAIL, ctx, details)
 
-    details["mode"] = "modular"
     details["seed"] = str(seed)
-    details["prime"] = prime
-    trials_out = det_modular(matrix, seed=seed, trials=trials, prime=prime, jobs=jobs)
-    bad = []
-    for t in trials_out:
-        assignment = modular_assignment(matrix.nvars, seed, t.trial, prime)
-        expected_value = factored.eval_mod(assignment, prime)
-        if expected_value != t.value:
-            bad.append(
-                {
-                    "trial": t.trial,
-                    "digest": t.digest,
-                    "determinant": t.value,
-                    "product": expected_value,
-                }
-            )
+    details["prime"] = DEFAULT_PRIME
     details["trials"] = [
         {"trial": t.trial, "digest": t.digest, "value": t.value}
-        for t in trials_out
+        for t, _ in outcome
+    ]
+    bad = [
+        {"trial": t.trial, "digest": t.digest, "determinant": t.value,
+         "product": product}
+        for t, product in outcome
+        if t.value != product
     ]
     if bad:
         details["mismatches"] = bad
@@ -485,35 +481,21 @@ def verify_factorization(
     return CheckResult("factorization", PASS, ctx, details)
 
 
-def beta_independence_check(
-    complex_: FaceComplex, apartment=None, context=None
-) -> CheckResult:
+def beta_independence_check(complex_: FaceComplex, apartment=None) -> CheckResult:
     """Standalone report entry for multiplicity well-definedness."""
-    from .apartments import chambers_in, faces_in
-
-    if apartment is None:
-        faces = list(complex_.faces)
-        chambers = complex_.chambers()
-        where = "full arrangement"
-    else:
-        faces = faces_in(complex_, apartment)
-        chambers = chambers_in(complex_, apartment)
-        where = apartment.describe()
-    ctx = dict(context or {})
-    ctx["apartment"] = where
-    non_chambers = [f for f in faces if not f.is_chamber]
+    where, chambers, non_chambers = resolve_apartment(complex_, apartment)
     betas, mismatches = beta_independence(complex_, non_chambers, chambers)
     details = {"faces_checked": len(non_chambers), "betas": betas}
     if mismatches:
         details["mismatches"] = mismatches
-        return CheckResult("beta_independence", FAIL, ctx, details)
-    return CheckResult("beta_independence", PASS, ctx, details)
+    status = FAIL if mismatches else PASS
+    return CheckResult("beta_independence", status, {"apartment": where}, details)
 
 
 # -- supporting identities ---------------------------------------------------
 
 
-def v_path_identity_check(complex_: FaceComplex, context=None) -> CheckResult:
+def v_path_identity_check(complex_: FaceComplex) -> CheckResult:
     """v(C,D) = v(C,FD) v(FD,D) for all chambers C, D and faces F below C."""
     violations = []
     chambers = complex_.chambers()
@@ -532,8 +514,7 @@ def v_path_identity_check(complex_: FaceComplex, context=None) -> CheckResult:
     details = {"checked": checked}
     if violations:
         details["violations"] = violations
-        return CheckResult("v_path_identity", FAIL, dict(context or {}), details)
-    return CheckResult("v_path_identity", PASS, dict(context or {}), details)
+    return CheckResult("v_path_identity", FAIL if violations else PASS, {}, details)
 
 
 def m_vector(complex_: FaceComplex, a: Face, d: Face):
@@ -557,7 +538,7 @@ def m_vector(complex_: FaceComplex, a: Face, d: Face):
     return coords
 
 
-def mad_recurrence_check(complex_: FaceComplex, context=None) -> CheckResult:
+def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     """The backward-induction identity behind the factorization proof:
 
     sum over F in [A, D] of (-1)^{rk F} m(F, D)
@@ -590,5 +571,4 @@ def mad_recurrence_check(complex_: FaceComplex, context=None) -> CheckResult:
     details = {"checked": checked}
     if violations:
         details["violations"] = violations
-        return CheckResult("mad_recurrence", FAIL, dict(context or {}), details)
-    return CheckResult("mad_recurrence", PASS, dict(context or {}), details)
+    return CheckResult("mad_recurrence", FAIL if violations else PASS, {}, details)

@@ -7,8 +7,6 @@ coefficientwise equality the whole content of the identities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .euler import BOUNDED, TYPE2, TYPE3, classify, euler_closure
 from .faces import Face, FaceComplex, closure_faces
 from .report import FAIL, PASS, SKIPPED, CheckResult
@@ -42,7 +40,7 @@ def witt_rhs(complex_: FaceComplex, a: Face, d: Face):
     ]
 
 
-def witt2_check(complex_: FaceComplex, d: Face, context=None) -> CheckResult:
+def witt2_check(complex_: FaceComplex, d: Face) -> CheckResult:
     """The closure identity: the vector sum over F <= D collapses to a
     single signed x_D, provided D is bounded or of type 2 or 3.
 
@@ -50,10 +48,9 @@ def witt2_check(complex_: FaceComplex, d: Face, context=None) -> CheckResult:
     unclassified chambers are skipped, never failed.
     """
     tag = classify(complex_, d)
-    ctx = dict(context or {})
     details = {"chamber": d.id, "type": tag}
     if tag not in (BOUNDED, TYPE2, TYPE3):
-        return CheckResult("witt_closure", SKIPPED, ctx, details)
+        return CheckResult("witt_closure", SKIPPED, {}, details)
 
     sign = -1 if complex_.min_dim % 2 else 1
     expected_diagonal = sign * euler_closure(complex_, d)
@@ -70,39 +67,19 @@ def witt2_check(complex_: FaceComplex, d: Face, context=None) -> CheckResult:
     details["diagonal"] = expected_diagonal
     if bad:
         details["violations"] = bad
-        return CheckResult("witt_closure", FAIL, ctx, details)
-    return CheckResult("witt_closure", PASS, ctx, details)
+    return CheckResult("witt_closure", FAIL if bad else PASS, {}, details)
 
 
-def witt_sweep(complex_: FaceComplex, context=None, jobs: int = 1) -> CheckResult:
+def witt_sweep(complex_: FaceComplex) -> CheckResult:
     """Exhaustive driver: the nested-pair identity for every (A, D) with D a
-    chamber and A <= D, plus the closure identity for every eligible D.
-
-    The per-pair checks are independent; `jobs` > 1 runs them on a thread
-    pool with the report order still fixed by (A id, D id).
-    """
-    ctx = dict(context or {})
-    nested = [
-        (a, d)
-        for d in complex_.chambers()
-        for a in closure_faces(complex_, d)
-    ]
-
-    def check_pair(pair):
-        a, d = pair
-        return witt_lhs(complex_, a, d) == witt_rhs(complex_, a, d)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(check_pair, nested))
-    else:
-        outcomes = [check_pair(pair) for pair in nested]
-    pairs = len(nested)
-    pair_failures = [
-        {"A": a.id, "D": d.id}
-        for (a, d), ok in zip(nested, outcomes)
-        if not ok
-    ]
+    chamber and A <= D, plus the closure identity for every eligible D."""
+    pairs = 0
+    pair_failures = []
+    for d in complex_.chambers():
+        for a in closure_faces(complex_, d):
+            pairs += 1
+            if witt_lhs(complex_, a, d) != witt_rhs(complex_, a, d):
+                pair_failures.append({"A": a.id, "D": d.id})
 
     closure_failures = []
     skipped = []
@@ -124,5 +101,5 @@ def witt_sweep(complex_: FaceComplex, context=None, jobs: int = 1) -> CheckResul
     if pair_failures or closure_failures:
         details["pair_failures"] = pair_failures
         details["closure_failures"] = closure_failures
-        return CheckResult("witt_identities", FAIL, ctx, details)
-    return CheckResult("witt_identities", PASS, ctx, details)
+        return CheckResult("witt_identities", FAIL, {}, details)
+    return CheckResult("witt_identities", PASS, {}, details)

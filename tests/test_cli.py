@@ -129,23 +129,6 @@ def test_varchenko_modular(data_dir, capsys):
     assert all(t["match"] for t in payload["trials"])
 
 
-def test_varchenko_modular_jobs_deterministic(data_dir, capsys):
-    args = [
-        "varchenko",
-        str(data_dir / "crossing.arr"),
-        "--mode",
-        "modular",
-        "--seed",
-        "9",
-        "--json",
-    ]
-    assert main(args) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert main(args + ["--jobs", "3"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert first["trials"] == second["trials"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -175,6 +158,13 @@ def test_env_seed_used_as_default(data_dir, capsys, monkeypatch):
     ]
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 123
+
+
+def test_bad_env_seed_is_a_usage_error(data_dir, capsys, monkeypatch):
+    monkeypatch.setenv("VARCHENKO_SEED", "abc")
+    args = ["varchenko", str(data_dir / "crossing.arr"), "--mode", "modular"]
+    assert main(args) == 2
+    assert "error: VARCHENKO_SEED must be an integer" in capsys.readouterr().err
 
 
 def test_verify_all_r1(data_dir, capsys):
@@ -222,6 +212,35 @@ def test_verify_all_apartments(data_dir, capsys):
     # subsets: {} -> 1, {0} -> 2, {1} -> 2, {0,1} -> 4 apartments
     assert len(payload["checks"]) == 9
     assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--subset", "0", "--apartment-signs", "+"], ["--subset", "0"]],
+)
+def test_verify_all_apartments_rejects_apartment_flags(data_dir, capsys, flags):
+    args = ["verify", str(data_dir / "crossing.arr"), "--checks", "beta"]
+    assert main(args + ["--all-apartments", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--all-apartments cannot be combined" in captured.err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["r1.arr", "generic3.arr", "crossing.arr", "r3.arr", "two_pairs.arr",
+     "parallel2.arr"],
+)
+def test_varchenko_agrees_with_verify_factorization(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(bundled_text(name))
+    code = main(["varchenko", str(path), "--json"])
+    shown = json.loads(capsys.readouterr().out)
+    assert code == (0 if shown["verified"] else 1)
+    assert main(["verify", str(path), "--checks", "factorization", "--json"]) == code
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == ("pass" if shown["verified"] else "fail")
+    assert check["details"]["mode"] == shown["mode"]
 
 
 def test_verify_json_is_deterministic(data_dir, capsys):

@@ -46,6 +46,17 @@ def test_basic_identities():
     assert sq == ONE - ab.scale(2) + ab * ab
 
 
+def test_zero_coefficients_are_dropped():
+    x = Polynomial(1, {(1,): 0})
+    assert x.terms == {}
+    assert x.is_zero()
+    assert x == Polynomial.zero(1)
+    assert (x * Polynomial.one(1)).is_zero()
+    y = Polynomial(1, {(0,): 2, (1,): 0})
+    assert y == Polynomial.constant(1, 2)
+    assert y * Polynomial.one(1) == y
+
+
 def test_pow_edge_cases():
     p = ONE - var(2)
     assert p**0 == ONE

@@ -157,11 +157,11 @@ def test_det_strategies_agree(generic3, two_pairs):
 @st.composite
 def polynomial_matrices(draw):
     """Square matrices of general polynomials: zero entries, several terms,
-    nonzero coefficients in [-3, 3] and exponents up to 3."""
+    coefficients in [-3, 3] (zero included) and exponents up to 3."""
     n = draw(st.integers(1, 5))
     nvars = draw(st.integers(0, 4))
     monomials = st.tuples(*[st.integers(0, 3)] * nvars)
-    coefficients = st.integers(-3, 3).filter(bool)
+    coefficients = st.integers(-3, 3)
     terms = st.dictionaries(monomials, coefficients, max_size=3)
     entries = [
         [Polynomial(nvars, draw(terms)) for _ in range(n)] for _ in range(n)
@@ -247,12 +247,11 @@ def test_det_modular_matches_symbolic(crossing):
         assert trial.value == eval_mod_p(det, assignment, DEFAULT_PRIME)
 
 
-def test_det_modular_deterministic_and_parallel(crossing):
+def test_det_modular_deterministic(crossing):
     matrix = varchenko_matrix(crossing.chambers())
-    sequential = det_modular(matrix, seed=7, trials=6, jobs=1)
-    threaded = det_modular(matrix, seed=7, trials=6, jobs=3)
-    assert sequential == threaded
-    assert sequential == det_modular(matrix, seed=7, trials=6)
+    assert det_modular(matrix, seed=7, trials=6) == det_modular(
+        matrix, seed=7, trials=6
+    )
 
 
 def test_multiplicity_examples(r1, crossing, two_pairs):
@@ -411,12 +410,6 @@ def test_v_opposite_product_is_separating_weight(crossing, generic3):
                     },
                 )
                 assert v(c, d) * v(d, c) == expected
-
-
-def test_witt_sweep_jobs_deterministic(generic3):
-    from varchenko.witt import witt_sweep
-
-    assert witt_sweep(generic3, jobs=3).to_dict() == witt_sweep(generic3).to_dict()
 
 
 def test_beta_independence_reports_values(two_pairs):
