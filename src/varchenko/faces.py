@@ -71,14 +71,10 @@ class FaceComplex:
         self.by_signs = {f.signs: f for f in self.faces}
         self.chamber_ids = tuple(f.id for f in self.faces if f.is_chamber)
         self.min_dim = min((f.dim for f in self.faces), default=0)
-        n = len(self.faces)
-        leq = [[False] * n for _ in range(n)]
-        for f in self.faces:
-            for g in self.faces:
-                leq[f.id][g.id] = face_leq(f, g)
-        self._leq = leq
+        self._leq = None  # F x F face order, built by the first leq()
         self._bounded = {}
         self._closures = {}
+        self._products = {}  # face id F -> ids of FG for every face G
         self._traces = {}  # (chamber id, hyperplane) -> trace face or None
         self._chi = {}  # chamber id -> Euler characteristic of its closure
         self._chamber_types = {}  # chamber id -> classify() tag
@@ -97,6 +93,10 @@ class FaceComplex:
         return self.by_signs.get(tuple(signs))
 
     def leq(self, f: Face, g: Face) -> bool:
+        if self._leq is None:
+            self._leq = [
+                [face_leq(a, b) for b in self.faces] for a in self.faces
+            ]
         return self._leq[f.id][g.id]
 
     def constraints_of(self, face: Face):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .geometry import ZERO
-from .faces import Face, FaceComplex
+from .faces import Face, FaceComplex, closure_faces
 
 
 class ComplexInvariantError(RuntimeError):
@@ -45,20 +45,36 @@ def compose_signs(f_signs, g_signs):
     )
 
 
+def _product_row(complex_: FaceComplex, f: Face):
+    """The ids of FG for every face G, in id order, computed on first use.
+
+    This is the one place a Tits product is computed: copy the signs of f,
+    filling its zeros from g. A missing sign vector is reported as a
+    ComplexInvariantError and leaves no row behind.
+    """
+    row = complex_._products.get(f.id)
+    if row is None:
+        ids = []
+        for g in complex_.faces:
+            signs = compose_signs(f.signs, g.signs)
+            product = complex_.by_signs.get(signs)
+            if product is None:
+                raise ComplexInvariantError(
+                    f"Tits product sign vector {signs} of faces {f.id}, "
+                    f"{g.id} is not a face of the complex"
+                )
+            ids.append(product.id)
+        row = complex_._products[f.id] = tuple(ids)
+    return row
+
+
 def tits_product(complex_: FaceComplex, f: Face, g: Face) -> Face:
     """FG: copy the signs of f, filling its zeros from g.
 
     The result is guaranteed to be a face of the arrangement; a missing
     sign vector is reported as a ComplexInvariantError.
     """
-    signs = compose_signs(f.signs, g.signs)
-    product = complex_.find(signs)
-    if product is None:
-        raise ComplexInvariantError(
-            f"Tits product sign vector {signs} of faces {f.id}, {g.id} "
-            "is not a face of the complex"
-        )
-    return product
+    return complex_.faces[_product_row(complex_, f)[g.id]]
 
 
 def opposite_through(complex_: FaceComplex, a: Face, d: Face) -> Face:
@@ -79,14 +95,10 @@ def opposite_through(complex_: FaceComplex, a: Face, d: Face) -> Face:
 
 
 def nested_interval(complex_: FaceComplex, a: Face, d: Face):
-    """All faces k with a <= k <= d."""
+    """All faces k with a <= k <= d, in id order."""
     if not complex_.leq(a, d):
         raise ValueError(f"{a!r} is not below {d!r}; no interval")
-    return [
-        k
-        for k in complex_.faces
-        if complex_.leq(a, k) and complex_.leq(k, d)
-    ]
+    return [k for k in closure_faces(complex_, d) if complex_.leq(a, k)]
 
 
 def rank(complex_: FaceComplex, face: Face) -> int:
@@ -96,38 +108,43 @@ def rank(complex_: FaceComplex, face: Face) -> int:
 
 def tits_semigroup_check(complex_: FaceComplex):
     """Exhaustive semigroup verification: associativity over all triples,
-    idempotence, and the order/product compatibility F <= G iff FG = G."""
+    idempotence, and the order/product compatibility F <= G iff FG = G.
+
+    Every law is read off the complex's product table, whose row for F
+    holds the id of FG for every G. For each pair (E, F), the row of
+    (EF)G over all G is the table row of EF, and the row of E(FG) is the
+    row of F mapped through the row of E; the two rows are compared whole,
+    and only a mismatch is walked entry by entry to list the violating G.
+    `triples` counts the entries compared. Order compatibility takes the
+    order from `complex_.leq`, never from the table.
+    """
     from .report import FAIL, PASS, CheckResult
 
     faces = complex_.faces
+    table = [_product_row(complex_, f) for f in faces]
     violations = []
     for f in faces:
-        if tits_product(complex_, f, f) is not f:
+        row = table[f.id]
+        if row[f.id] != f.id:
             violations.append({"kind": "idempotence", "F": f.id})
         for g in faces:
-            leq = complex_.leq(f, g)
-            absorbed = tits_product(complex_, f, g) is g
-            if leq != absorbed:
+            if complex_.leq(f, g) != (row[g.id] == g.id):
                 violations.append(
                     {"kind": "order_compatibility", "F": f.id, "G": g.id}
                 )
     triples = 0
-    for e in faces:
-        for f in faces:
-            ef = tits_product(complex_, e, f)
-            for g in faces:
-                triples += 1
-                left = tits_product(complex_, ef, g)
-                right = tits_product(complex_, e, tits_product(complex_, f, g))
-                if left is not right:
-                    violations.append(
-                        {
-                            "kind": "associativity",
-                            "E": e.id,
-                            "F": f.id,
-                            "G": g.id,
-                        }
-                    )
+    for e, row_e in enumerate(table):
+        through_e = row_e.__getitem__
+        for f, row_f in enumerate(table):
+            left = table[row_e[f]]
+            right = tuple(map(through_e, row_f))
+            triples += len(right)
+            if left != right:
+                violations.extend(
+                    {"kind": "associativity", "E": e, "F": f, "G": g}
+                    for g, (lg, rg) in enumerate(zip(left, right))
+                    if lg != rg
+                )
     details = {"faces": len(faces), "triples": triples}
     if violations:
         details["violations"] = violations

@@ -3,8 +3,10 @@
 import itertools
 from fractions import Fraction
 
+from varchenko.faces import face_leq
 from varchenko.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from varchenko.polyring import Polynomial
+from varchenko.tits import compose_signs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,6 +39,42 @@ def det_by_permutations(entries, nvars) -> Polynomial:
             product = product * entries[i][j]
         total = total + product.scale(permutation_sign(perm))
     return total
+
+
+def tits_semigroup_violations(complex_, product=None):
+    """Reference for `varchenko.tits.tits_semigroup_check`: the triple loop.
+
+    Products are composed from sign vectors and looked up in `by_signs`,
+    unless `product(f, g)` is given; the order is `face_leq` on sign
+    vectors. Returns the face count, the triple count and the violations,
+    listed in the order the check lists them.
+    """
+    if product is None:
+
+        def product(f, g):
+            return complex_.by_signs[compose_signs(f.signs, g.signs)]
+
+    faces = complex_.faces
+    violations = []
+    for f in faces:
+        if product(f, f) is not f:
+            violations.append({"kind": "idempotence", "F": f.id})
+        for g in faces:
+            if face_leq(f, g) != (product(f, g) is g):
+                violations.append(
+                    {"kind": "order_compatibility", "F": f.id, "G": g.id}
+                )
+    triples = 0
+    for e in faces:
+        for f in faces:
+            ef = product(e, f)
+            for g in faces:
+                triples += 1
+                if product(ef, g) is not product(e, product(f, g)):
+                    violations.append(
+                        {"kind": "associativity", "E": e.id, "F": f.id, "G": g.id}
+                    )
+    return {"faces": len(faces), "triples": triples, "violations": violations}
 
 
 def solve_lp_fraction(objective, a_ub, b_ub, a_eq, b_eq):

@@ -1,18 +1,26 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varchenko.faces import closure_faces
+from varchenko.faces import Face, FaceComplex, closure_faces, enumerate_faces
+from varchenko.files import bundled_text, parse_arrangement
 from varchenko.geometry import MINUS, PLUS, ZERO, side_of
 from varchenko.tits import (
+    ComplexInvariantError,
     NestedFace,
+    _product_row,
+    compose_signs,
     nested_interval,
     opposite_through,
     rank,
     tits_product,
     tits_semigroup_check,
 )
+from oracles import tits_semigroup_violations
+from test_faces import _arrangements
 
 
 def test_chamber_absorbs_everything(crossing):
@@ -50,6 +58,70 @@ def test_associativity_exhaustive_small(crossing, generic3):
 
 def test_semigroup_check_passes(two_pairs):
     assert tits_semigroup_check(two_pairs).status == "pass"
+
+
+def _oracle_details(expected):
+    details = {"faces": expected["faces"], "triples": expected["triples"]}
+    if expected["violations"]:
+        details["violations"] = expected["violations"]
+    return details
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_arrangements(2, 5), _arrangements(3, 4)))
+def test_product_table_matches_sign_vector_oracle(arrangement):
+    complex_ = enumerate_faces(arrangement)
+    for f in complex_.faces:
+        for g in complex_.faces:
+            direct = complex_.by_signs[compose_signs(f.signs, g.signs)]
+            assert tits_product(complex_, f, g) is direct
+    result = tits_semigroup_check(complex_)
+    assert result.status == "pass"
+    assert result.details == _oracle_details(tits_semigroup_violations(complex_))
+
+
+def test_semigroup_check_reports_a_corrupted_table_entry():
+    # A fresh complex: the corrupted row must not leak into other tests.
+    complex_ = enumerate_faces(parse_arrangement(bundled_text("generic3.arr")))
+    vertex = next(f for f in complex_.faces if f.dim == 0 and f.id > 0)
+    chamber = [d for d in complex_.chambers() if complex_.leq(vertex, d)][-1]
+    wrong = opposite_through(complex_, vertex, chamber)
+    row = list(_product_row(complex_, vertex))
+    row[chamber.id] = wrong.id
+    complex_._products[vertex.id] = tuple(row)
+
+    def corrupted(f, g):
+        if f is vertex and g is chamber:
+            return wrong
+        return complex_.by_signs[compose_signs(f.signs, g.signs)]
+
+    expected = tits_semigroup_violations(complex_, corrupted)
+    kinds = {v["kind"] for v in expected["violations"]}
+    assert {"associativity", "order_compatibility"} <= kinds
+    result = tits_semigroup_check(complex_)
+    assert result.status == "fail"
+    assert result.details == _oracle_details(expected)
+
+
+def test_missing_product_face_raises_complex_invariant_error(generic3):
+    # A non-chamber face X that is the product of two other faces.
+    missing, f, g = next(
+        (x, f, g)
+        for x in generic3.faces
+        if not x.is_chamber
+        for f in generic3.faces
+        for g in generic3.faces
+        if x not in (f, g) and compose_signs(f.signs, g.signs) == x.signs
+    )
+    kept = [h for h in generic3.faces if h is not missing]
+    broken = FaceComplex(
+        generic3.arrangement,
+        [Face(h.signs, h.dim, h.witness, i) for i, h in enumerate(kept)],
+    )
+    f, g = broken.find(f.signs), broken.find(g.signs)
+    with pytest.raises(ComplexInvariantError, match=re.escape(str(missing.signs))):
+        tits_product(broken, f, g)
+    assert f.id not in broken._products
 
 
 def test_opposite_through_examples(r1, crossing):
