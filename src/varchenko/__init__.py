@@ -23,7 +23,6 @@ from .faces import (
     panels,
 )
 from .tits import (
-    NestedFace,
     nested_interval,
     opposite_through,
     rank,
@@ -50,10 +49,8 @@ from .varmatrix import (
     VMatrix,
     det_modular,
     det_symbolic,
-    m_vector,
     multiplicity,
     product_formula,
-    separator_set,
     v,
     varchenko_matrix,
     verify_factorization,

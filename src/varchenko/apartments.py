@@ -1,24 +1,27 @@
 """Apartments: chambers of sub-arrangements and their face/chamber sets.
 
 An apartment is stored combinatorially as (subset of hyperplane indices,
-sign per subset member). The chambers of a sub-arrangement are exactly the
-distinct restrictions of the full arrangement's chambers, so enumeration
-needs no additional LP work once the face complex exists.
+sign per subset member), and as the mask `half` of its open half-spaces in
+the bit layout of `Face.half`. The chambers of a sub-arrangement are exactly
+the distinct restrictions of the full arrangement's chambers, so
+enumeration needs no additional LP work once the face complex exists.
 """
 
 from __future__ import annotations
 
-from .faces import Face, FaceComplex, centralization, sign_key
+from .faces import Face, FaceComplex, half_mask, sign_key
+from .geometry import MINUS, PLUS
 
 
 class Apartment:
     """A chamber of the sub-arrangement on `subset`, with a witness point."""
 
-    __slots__ = ("subset", "base_signs", "id", "witness")
+    __slots__ = ("subset", "base_signs", "half", "id", "witness")
 
     def __init__(self, subset, base_signs, apartment_id, witness):
         self.subset = tuple(subset)
         self.base_signs = tuple(base_signs)
+        self.half = half_mask(zip(self.subset, self.base_signs))
         self.id = apartment_id
         self.witness = witness
 
@@ -27,9 +30,7 @@ class Apartment:
 
     def matches(self, face: Face) -> bool:
         """Whether the face lies inside this apartment."""
-        return all(
-            face.signs[h] == s for h, s in zip(self.subset, self.base_signs)
-        )
+        return not self.half & ~face.half
 
     def describe(self) -> str:
         if not self.subset:
@@ -61,28 +62,22 @@ def enumerate_apartments(complex_: FaceComplex, subset):
 
     seen = {}
     for chamber in complex_.chambers():
-        restricted = tuple(chamber.signs[h] for h in subset)
-        if restricted not in seen:
-            seen[restricted] = chamber.witness
-    ordered = sorted(seen, key=sign_key)
+        half = chamber.half
+        restricted = tuple(MINUS if half >> 2 * h & 2 else PLUS for h in subset)
+        seen.setdefault(restricted, chamber.witness)
     return [
         Apartment(subset, signs, i, seen[signs])
-        for i, signs in enumerate(ordered)
+        for i, signs in enumerate(sorted(seen, key=sign_key))
     ]
 
 
 def find_apartment(complex_: FaceComplex, subset, base_signs):
     """The apartment with the given base signs, or None if infeasible."""
-    subset = tuple(subset)
-    base_signs = tuple(base_signs)
-    for apartment in enumerate_apartments(complex_, sorted(subset)):
-        wanted = dict(zip(subset, base_signs))
-        if all(
-            wanted[h] == s
-            for h, s in zip(apartment.subset, apartment.base_signs)
-        ):
-            return apartment
-    return None
+    half = half_mask(zip(subset, base_signs))
+    return next(
+        (a for a in enumerate_apartments(complex_, subset) if a.half == half),
+        None,
+    )
 
 
 def faces_in(complex_: FaceComplex, apartment: Apartment):
@@ -124,12 +119,10 @@ def central_apartment_around(complex_: FaceComplex, face: Face) -> Apartment:
         raise ValueError(
             "central apartments exist only around non-chamber faces"
         )
-    zero = centralization(face)
-    subset = tuple(
-        h for h in range(complex_.arrangement.size) if h not in zero
-    )
-    base_signs = tuple(face.signs[h] for h in subset)
-    apartment = find_apartment(complex_, subset, base_signs)
-    if apartment is None:  # cannot happen: the face itself witnesses it
-        raise RuntimeError("central apartment unexpectedly infeasible")
-    return apartment
+    zero = face.zero_set()
+    subset = [h for h in range(complex_.arrangement.size) if h not in zero]
+    # the open half-spaces containing the face are exactly the apartment's
+    for apartment in enumerate_apartments(complex_, subset):
+        if apartment.half == face.half:
+            return apartment
+    raise RuntimeError("central apartment unexpectedly infeasible")

@@ -18,12 +18,7 @@ from pathlib import Path
 from .apartments import enumerate_apartments, find_apartment
 from .euler import lemma_ch_check, lemma_chm_check
 from .faces import enumerate_faces, format_signs
-from .files import (
-    ParseError,
-    arrangement_digest,
-    parse_arrangement,
-    parse_matrix,
-)
+from .files import arrangement_digest, parse_arrangement, parse_matrix
 from .geometry import CHAR_SIGNS
 from .polyring import format_polynomial, parse_polynomial
 from .report import SCHEMA_VERSION, VerificationReport
@@ -162,7 +157,7 @@ def _load(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     arrangement = parse_arrangement(text)
     return arrangement, enumerate_faces(arrangement)
 
@@ -314,8 +309,8 @@ def cmd_verify(args) -> int:
         selected = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
         unknown = [tok for tok in selected if tok not in CHECK_NAMES]
         if unknown:
-            raise ParseError(
-                0, f"unknown checks {unknown}; valid: {','.join(CHECK_NAMES)}"
+            raise ValueError(
+                f"unknown checks {unknown}; valid: {','.join(CHECK_NAMES)}"
             )
     else:
         selected = list(CHECK_NAMES)  # default and --all both run everything
@@ -398,7 +393,7 @@ def cmd_detfile(args) -> int:
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
-        raise ParseError(0, f"cannot read {args.file}: {exc}") from None
+        raise ValueError(f"cannot read {args.file}: {exc}") from None
     matrix = parse_matrix(text)
     determinant = det_symbolic(matrix)
     payload = {
@@ -408,10 +403,7 @@ def cmd_detfile(args) -> int:
     }
     verified = None
     if args.expected:
-        try:
-            expected = parse_expected_product(args.expected, matrix.nvars)
-        except ValueError as exc:
-            raise ParseError(0, str(exc)) from None
+        expected = parse_expected_product(args.expected, matrix.nvars)
         verified = expected.expand() == determinant
         payload["expected"] = expected.text()
         payload["verified"] = verified
@@ -432,10 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ParseError names the offending line
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ one, is tagged `unknown` and downstream checks skip it.
 
 from __future__ import annotations
 
-from .faces import Face, FaceComplex, closure_faces, panels
+from .faces import Face, FaceComplex, closure_faces, face_leq, panels
 from .geometry import affine_rank
 from .report import FAIL, PASS, CheckResult
 
@@ -47,7 +47,7 @@ def _frontier_components(complex_: FaceComplex, chamber: Face):
 
     for f in frontier:
         for g in frontier:
-            if f.id < g.id and (complex_.leq(f, g) or complex_.leq(g, f)):
+            if f.id < g.id and (face_leq(f, g) or face_leq(g, f)):
                 parent[find(f.id)] = find(g.id)
 
     groups: dict = {}
@@ -129,7 +129,7 @@ def euler_closure_minus_panels(complex_: FaceComplex, chamber: Face, panel_subse
     kept = [
         g
         for g in closure_faces(complex_, chamber)
-        if not any(complex_.leq(g, f) for f in subset)
+        if not any(face_leq(g, f) for f in subset)
     ]
     return sum(-1 if g.dim % 2 else 1 for g in kept)
 
@@ -146,7 +146,7 @@ def _panels_adjacent(complex_: FaceComplex, subset) -> bool:
 
 def _share_codim2(complex_: FaceComplex, f: Face, g: Face, n: int) -> bool:
     return any(
-        k.dim == n - 2 and complex_.leq(k, f) and complex_.leq(k, g)
+        k.dim == n - 2 and face_leq(k, f) and face_leq(k, g)
         for k in complex_.faces
     )
 

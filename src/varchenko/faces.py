@@ -1,6 +1,19 @@
 """Face poset of an arrangement: sign vectors, order, chambers, panels.
 
-A face is identified with its sign vector (one of +/0/- per hyperplane).
+A face is identified with its sign vector (one of +/0/- per hyperplane),
+stored as the bitmask `half` of the open half-spaces that contain it: bit
+2h for H_h^+ and bit 2h+1 for H_h^-, the order of the ring variables
+h_h^+, h_h^-. A face on H_h sets neither bit; its mask `zero` sets both.
+Every face operation is set algebra on these masks (faces with the
+composition of covectors form a conditional oriented matroid):
+
+* order:     F <= G  iff  F.half is a subset of G.half
+* product:   FG = F.half | (G.half & F.zero)
+* opposite of chamber D through A <= D:  A.half | (A.zero & ~D.half)
+
+The sign tuple stays for input and output: formatting, the + < 0 < - id
+order and `FaceComplex.find`.
+
 Enumeration is incremental: hyperplanes are inserted one at a time and every
 existing face is split into the feasible members of its three sign
 extensions. A brute-force enumerator over all 3^m sign vectors is kept as an
@@ -25,6 +38,12 @@ from .geometry import (
 )
 
 
+def half_mask(signed) -> int:
+    """Bitmask of the open half-spaces named by (hyperplane, sign) pairs:
+    bit 2h for H_h^+ and 2h+1 for H_h^-; a zero sign sets neither."""
+    return sum(1 << (2 * h + (s == MINUS)) for h, s in signed if s != ZERO)
+
+
 def sign_key(signs):
     """Sort key implementing the face id convention + < 0 < -."""
     return tuple(SIGN_ORDER[s] for s in signs)
@@ -35,23 +54,30 @@ def format_signs(signs) -> str:
 
 
 class Face:
-    """One face: sign vector, dimension, and an interior witness point."""
+    """One face: sign vector, half-space masks, dimension, and an interior
+    witness point."""
 
-    __slots__ = ("signs", "dim", "witness", "id")
+    __slots__ = ("signs", "half", "zero", "dim", "witness", "id")
 
     def __init__(self, signs, dim, witness, face_id):
         self.signs = tuple(signs)
+        self.half = half_mask(enumerate(self.signs))
+        # bit 2h of `even` for every hyperplane h; a face on H_h has
+        # neither of its bits in `half`
+        even = ((1 << 2 * len(self.signs)) - 1) // 3
+        self.zero = (even & ~(self.half | self.half >> 1)) * 3
         self.dim = dim
         self.witness = tuple(witness)
         self.id = face_id
 
     @property
     def is_chamber(self) -> bool:
-        return ZERO not in self.signs
+        return not self.zero
 
     def zero_set(self):
         """Indices of hyperplanes containing this face."""
-        return tuple(i for i, s in enumerate(self.signs) if s == ZERO)
+        zero = self.zero
+        return tuple(h for h in range(zero.bit_length() // 2) if zero >> 2 * h & 1)
 
     def __repr__(self):
         return f"Face(id={self.id}, signs={format_signs(self.signs)}, dim={self.dim})"
@@ -68,10 +94,9 @@ class FaceComplex:
     def __init__(self, arrangement, faces):
         self.arrangement = arrangement
         self.faces = tuple(faces)
-        self.by_signs = {f.signs: f for f in self.faces}
+        self.by_half = {f.half: f for f in self.faces}
         self.chamber_ids = tuple(f.id for f in self.faces if f.is_chamber)
         self.min_dim = min((f.dim for f in self.faces), default=0)
-        self._leq = None  # F x F face order, built by the first leq()
         self._bounded = {}
         self._closures = {}
         self._products = {}  # face id F -> ids of FG for every face G
@@ -90,14 +115,11 @@ class FaceComplex:
         return self.faces[face_id]
 
     def find(self, signs) -> Face | None:
-        return self.by_signs.get(tuple(signs))
-
-    def leq(self, f: Face, g: Face) -> bool:
-        if self._leq is None:
-            self._leq = [
-                [face_leq(a, b) for b in self.faces] for a in self.faces
-            ]
-        return self._leq[f.id][g.id]
+        """The face with this sign vector, or None."""
+        signs = tuple(signs)
+        if len(signs) != self.arrangement.size:
+            return None
+        return self.by_half.get(half_mask(enumerate(signs)))
 
     def constraints_of(self, face: Face):
         """(hyperplane, sign) pairs defining the face."""
@@ -121,8 +143,8 @@ class FaceComplex:
 
 
 def face_leq(f: Face, g: Face) -> bool:
-    """The face order: every nonzero sign of f must be shared by g."""
-    return all(sf == ZERO or sf == sg for sf, sg in zip(f.signs, g.signs))
+    """The face order: every open half-space containing f contains g."""
+    return not f.half & ~g.half
 
 
 def enumerate_faces(arrangement) -> FaceComplex:
@@ -232,7 +254,7 @@ def closure_faces(complex_, chamber_or_face):
     cached = complex_._closures.get(chamber_or_face.id)
     if cached is None:
         cached = tuple(
-            f for f in complex_.faces if complex_.leq(f, chamber_or_face)
+            f for f in complex_.faces if face_leq(f, chamber_or_face)
         )
         complex_._closures[chamber_or_face.id] = cached
     return list(cached)

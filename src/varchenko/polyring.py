@@ -70,6 +70,12 @@ class Polynomial:
         return cls.monomial(nvars, {var: 1})
 
     @classmethod
+    def square_free(cls, nvars: int, mask: int) -> "Polynomial":
+        """The product of the variables whose `VarId.index` bits are set in
+        mask, with coefficient 1; mask 0 gives the constant 1."""
+        return cls(nvars, {tuple(mask >> i & 1 for i in range(nvars)): 1})
+
+    @classmethod
     def monomial(cls, nvars: int, powers, coefficient: int = 1):
         """Single term from {VarId: exponent} powers."""
         expo = [0] * nvars
@@ -98,15 +104,6 @@ class Polynomial:
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
-
-    def variables(self):
-        """Sorted VarIds with a nonzero exponent somewhere."""
-        used = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
-        return [var_of_index(i) for i in sorted(used)]
 
     def leading_term(self):
         """(monomial, coefficient) maximal in graded lex order."""
@@ -229,15 +226,11 @@ def zero_substitution(poly: Polynomial, hyperplanes) -> Polynomial:
 
 
 def weight(face) -> Polynomial:
-    """The weight monomial of a non-chamber face: prod h_i^+ h_i^- over A_F."""
+    """The weight monomial of a non-chamber face: prod h_i^+ h_i^- over A_F,
+    the variables of the face's `zero` mask."""
     if face.is_chamber:
         raise ValueError(f"chambers have no weight, got {face!r}")
-    nvars = 2 * len(face.signs)
-    powers = {}
-    for h in face.zero_set():
-        powers[VarId(h, PLUS)] = 1
-        powers[VarId(h, MINUS)] = 1
-    return Polynomial.monomial(nvars, powers)
+    return Polynomial.square_free(2 * len(face.signs), face.zero)
 
 
 # -- text form ------------------------------------------------------------

@@ -4,6 +4,10 @@ factorization theorem machinery (multiplicities, product formula, checks).
 Matrix convention: entry at (row C, column D) is v(D, C), the monomial of
 the half-spaces containing D but not C. Rows and columns always use the
 same chamber order, so the determinant does not depend on that order.
+
+Distances between chambers are square-free monomials with coefficient 1,
+so the identity checks compare half-space masks (`Face.half`) and never
+build a Polynomial.
 """
 
 from __future__ import annotations
@@ -13,11 +17,9 @@ import random
 from typing import NamedTuple
 
 from .apartments import chambers_in, faces_in
-from .faces import Face, FaceComplex, centralization, closure_faces
-from .geometry import ZERO
+from .faces import Face, FaceComplex, centralization, closure_faces, face_leq
 from .polyring import (
     Polynomial,
-    VarId,
     eval_mod_p,
     format_polynomial,
     var_of_index,
@@ -30,25 +32,21 @@ DEFAULT_PRIME = 2**61 - 1
 DEFAULT_SYMBOLIC_THRESHOLD = 12
 
 
-def separator_set(c: Face, d: Face):
-    """Half-spaces containing c but not d: {(hyperplane index, sign of c)}."""
+def v(c: Face, d: Face) -> Polynomial:
+    """Aguiar-Mahajan distance of chambers: the product of the variables of
+    the open half-spaces containing c but not d, the mask c.half & ~d.half
+    (1 on the diagonal).
+
+    Every distance is square-free with coefficient 1, so for chambers C, X,
+    D the product v(C, X) v(X, D) equals v(C, D) exactly when the masks of
+    v(C, X) and v(X, D) are disjoint and their OR is the mask of v(C, D).
+    The two masks are always disjoint: a half-space in both would contain
+    X and not contain X. So the identity checks compare the OR alone.
+    """
     for face in (c, d):
         if not face.is_chamber:
-            raise ValueError(f"separator_set requires chambers, got {face!r}")
-    return {
-        (h, sc)
-        for h, (sc, sd) in enumerate(zip(c.signs, d.signs))
-        if sc == -sd
-    }
-
-
-def v(c: Face, d: Face) -> Polynomial:
-    """Aguiar-Mahajan distance: 1 on the diagonal, else the separator monomial."""
-    nvars = 2 * len(c.signs)
-    if c.signs == d.signs:
-        return Polynomial.one(nvars)
-    powers = {VarId(h, s): 1 for h, s in separator_set(c, d)}
-    return Polynomial.monomial(nvars, powers)
+            raise ValueError(f"v requires chambers, got {face!r}")
+    return Polynomial.square_free(2 * len(c.signs), c.half & ~d.half)
 
 
 class VMatrix:
@@ -86,6 +84,11 @@ class VMatrix:
                     raise ValueError(
                         f"entry ({i},{j}) must be square-free with "
                         "coefficient 1"
+                    )
+                if any(mono[k] and mono[k + 1] for k in range(0, len(mono), 2)):
+                    raise ValueError(
+                        f"entry ({i},{j}) holds both half-space variables "
+                        "of one hyperplane"
                     )
                 opposite, _ = self.entries[j][i].leading_term()
                 flipped = tuple(
@@ -277,11 +280,11 @@ def _chamber_trace(complex_: FaceComplex, chamber: Face, h: int):
     if key in cache:
         return cache[key]
     on_h = [
-        g for g in closure_faces(complex_, chamber) if g.signs[h] == ZERO
+        g for g in closure_faces(complex_, chamber) if g.zero >> 2 * h & 1
     ]
     found = None
     for g in on_h:
-        if all(complex_.leq(other, g) for other in on_h):
+        if all(face_leq(other, g) for other in on_h):
             found = g
             break
     cache[key] = found
@@ -496,18 +499,19 @@ def beta_independence_check(complex_: FaceComplex, apartment=None) -> CheckResul
 
 
 def v_path_identity_check(complex_: FaceComplex) -> CheckResult:
-    """v(C,D) = v(C,FD) v(FD,D) for all chambers C, D and faces F below C."""
+    """v(C,D) = v(C,FD) v(FD,D) for all chambers C, D and faces F below C,
+    compared as half-space masks by the rule in `v`'s docstring."""
     violations = []
     chambers = complex_.chambers()
     checked = 0
     for c in chambers:
         below = closure_faces(complex_, c)
         for d in chambers:
-            left = v(c, d)
+            left = c.half & ~d.half
             for f in below:
                 fd = tits_product(complex_, f, d)
                 checked += 1
-                if v(c, fd) * v(fd, d) != left:
+                if (c.half & ~fd.half) | (fd.half & ~d.half) != left:
                     violations.append(
                         {"C": c.id, "D": d.id, "F": f.id, "FD": fd.id}
                     )
@@ -517,54 +521,43 @@ def v_path_identity_check(complex_: FaceComplex) -> CheckResult:
     return CheckResult("v_path_identity", FAIL if violations else PASS, {}, details)
 
 
-def m_vector(complex_: FaceComplex, a: Face, d: Face):
-    """Coordinates of m(A, D) on the chamber basis, in chamber-id order.
-
-    The coordinate at C is v(D, C) when AC = D, and zero otherwise. For
-    A = D this is the whole distance row of D, since chambers absorb on
-    the left.
-    """
-    if not d.is_chamber:
-        raise ValueError(f"m_vector requires a chamber as upper face, got {d!r}")
-    if not complex_.leq(a, d):
-        raise ValueError(f"{a!r} is not below {d!r}")
-    nvars = 2 * complex_.arrangement.size
-    coords = []
-    for c in complex_.chambers():
-        if tits_product(complex_, a, c) is d:
-            coords.append(v(d, c))
-        else:
-            coords.append(Polynomial.zero(nvars))
-    return coords
-
-
 def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     """The backward-induction identity behind the factorization proof:
 
     sum over F in [A, D] of (-1)^{rk F} m(F, D)
       = (-1)^{rk D} v(D, D~_A) m(A, D~_A)
 
-    checked exactly for every nested pair (A, D) with D a chamber.
+    checked exactly for every nested pair (A, D) with D a chamber. The
+    coordinate of m(A, D) at a chamber C is v(D, C) when AC = D and zero
+    otherwise. So every coordinate is an integer times a square-free
+    monomial, and both sides are compared as (coefficient, mask) pairs,
+    with (0, 0) for zero; the product v(D, D~_A) v(D~_A, C) is the OR of
+    the two masks, by the rule in `v`'s docstring.
     """
-    nvars = 2 * complex_.arrangement.size
-    zero = Polynomial.zero(nvars)
+    chambers = complex_.chambers()
     violations = []
     checked = 0
-    for d in complex_.chambers():
+    for d in chambers:
         for a in closure_faces(complex_, d):
             checked += 1
-            lhs = [zero] * len(complex_.chamber_ids)
+            counts = [0] * len(chambers)
             for f in nested_interval(complex_, a, d):
                 sign = -1 if rank(complex_, f) % 2 else 1
-                for i, coord in enumerate(m_vector(complex_, f, d)):
-                    if not coord.is_zero():
-                        lhs[i] = lhs[i] + coord.scale(sign)
+                for i, c in enumerate(chambers):
+                    if tits_product(complex_, f, c) is d:
+                        counts[i] += sign
+            lhs = [
+                (k, d.half & ~c.half) if k else (0, 0)
+                for k, c in zip(counts, chambers)
+            ]
             d_opp = opposite_through(complex_, a, d)
-            scale = v(d, d_opp)
+            scale = d.half & ~d_opp.half
             sign = -1 if rank(complex_, d) % 2 else 1
             rhs = [
-                (scale * coord).scale(sign)
-                for coord in m_vector(complex_, a, d_opp)
+                (sign, scale | (d_opp.half & ~c.half))
+                if tits_product(complex_, a, c) is d_opp
+                else (0, 0)
+                for c in chambers
             ]
             if lhs != rhs:
                 violations.append({"A": a.id, "D": d.id})

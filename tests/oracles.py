@@ -3,10 +3,9 @@
 import itertools
 from fractions import Fraction
 
-from varchenko.faces import face_leq
+from varchenko.geometry import MINUS, PLUS, ZERO
 from varchenko.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
-from varchenko.polyring import Polynomial
-from varchenko.tits import compose_signs
+from varchenko.polyring import Polynomial, VarId
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,26 +40,75 @@ def det_by_permutations(entries, nvars) -> Polynomial:
     return total
 
 
+# -- face algebra on sign vectors ---------------------------------------------
+#
+# References for the half-space masks of `varchenko.faces`: every operation
+# below reads the sign tuples only, and faces are looked up in a dict of
+# their own, never through `FaceComplex.find`.
+
+
+def compose_signs(f_signs, g_signs):
+    """Tits product of sign vectors: the signs of f, zeros filled from g."""
+    return tuple(sf if sf != ZERO else sg for sf, sg in zip(f_signs, g_signs))
+
+
+def leq_signs(f_signs, g_signs) -> bool:
+    """Face order: every nonzero sign of f is shared by g."""
+    return all(sf == ZERO or sf == sg for sf, sg in zip(f_signs, g_signs))
+
+
+def opposite_signs(a_signs, d_signs):
+    """The chamber opposite d through a: d's signs flipped where a is zero."""
+    return tuple(-sd if sa == ZERO else sa for sa, sd in zip(a_signs, d_signs))
+
+
+def faces_by_signs(complex_):
+    return {f.signs: f for f in complex_.faces}
+
+
+def sign_product(complex_):
+    """The Tits product f, g -> FG composed from sign vectors."""
+    by_signs = faces_by_signs(complex_)
+    return lambda f, g: by_signs[compose_signs(f.signs, g.signs)]
+
+
+def distance(c, d) -> Polynomial:
+    """v(C, D) on sign vectors: the variables h_i^s with s the sign of C on
+    the hyperplanes i where D has the other sign."""
+    powers = {
+        VarId(h, sc): 1
+        for h, (sc, sd) in enumerate(zip(c.signs, d.signs))
+        if sc == -sd
+    }
+    return Polynomial.monomial(2 * len(c.signs), powers)
+
+
+def weight_of(face) -> Polynomial:
+    """prod h_i^+ h_i^- over the hyperplanes i containing the face."""
+    powers = {
+        VarId(h, s): 1
+        for h, sign in enumerate(face.signs)
+        if sign == ZERO
+        for s in (PLUS, MINUS)
+    }
+    return Polynomial.monomial(2 * len(face.signs), powers)
+
+
 def tits_semigroup_violations(complex_, product=None):
     """Reference for `varchenko.tits.tits_semigroup_check`: the triple loop.
 
-    Products are composed from sign vectors and looked up in `by_signs`,
-    unless `product(f, g)` is given; the order is `face_leq` on sign
-    vectors. Returns the face count, the triple count and the violations,
-    listed in the order the check lists them.
+    Products are composed from sign vectors, unless `product(f, g)` is
+    given; the order is `leq_signs`. Returns the face count, the triple
+    count and the violations, listed in the order the check lists them.
     """
-    if product is None:
-
-        def product(f, g):
-            return complex_.by_signs[compose_signs(f.signs, g.signs)]
-
+    product = product or sign_product(complex_)
     faces = complex_.faces
     violations = []
     for f in faces:
         if product(f, f) is not f:
             violations.append({"kind": "idempotence", "F": f.id})
         for g in faces:
-            if face_leq(f, g) != (product(f, g) is g):
+            if leq_signs(f.signs, g.signs) != (product(f, g) is g):
                 violations.append(
                     {"kind": "order_compatibility", "F": f.id, "G": g.id}
                 )
@@ -75,6 +123,83 @@ def tits_semigroup_violations(complex_, product=None):
                         {"kind": "associativity", "E": e.id, "F": f.id, "G": g.id}
                     )
     return {"faces": len(faces), "triples": triples, "violations": violations}
+
+
+def _below(complex_, face):
+    return [f for f in complex_.faces if leq_signs(f.signs, face.signs)]
+
+
+def v_path_violations(complex_, product=None):
+    """Reference for `v_path_identity_check`: the Polynomial comparison
+    v(C,D) = v(C,FD) v(FD,D) over chambers C, D and faces F <= C."""
+    product = product or sign_product(complex_)
+    chambers = complex_.chambers()
+    violations = []
+    checked = 0
+    for c in chambers:
+        below = _below(complex_, c)
+        for d in chambers:
+            left = distance(c, d)
+            for f in below:
+                fd = product(f, d)
+                checked += 1
+                if distance(c, fd) * distance(fd, d) != left:
+                    violations.append(
+                        {"C": c.id, "D": d.id, "F": f.id, "FD": fd.id}
+                    )
+    return {"checked": checked, "violations": violations}
+
+
+def m_vector(complex_, a, d, product=None):
+    """Coordinates of m(A, D) on the chamber basis, in chamber-id order.
+
+    The coordinate at C is v(D, C) when AC = D, and zero otherwise. For
+    A = D this is the whole distance row of D, since chambers absorb on
+    the left.
+    """
+    product = product or sign_product(complex_)
+    nvars = 2 * complex_.arrangement.size
+    return [
+        distance(d, c) if product(a, c) is d else Polynomial.zero(nvars)
+        for c in complex_.chambers()
+    ]
+
+
+def mad_recurrence_violations(complex_, product=None):
+    """Reference for `mad_recurrence_check`: both sides of
+
+    sum over F in [A, D] of (-1)^{rk F} m(F, D)
+      = (-1)^{rk D} v(D, D~_A) m(A, D~_A)
+
+    as Polynomial vectors, for every nested pair (A, D) with D a chamber.
+    """
+    product = product or sign_product(complex_)
+    by_signs = faces_by_signs(complex_)
+    nvars = 2 * complex_.arrangement.size
+    chambers = complex_.chambers()
+
+    def sign(face):
+        return -1 if (face.dim - complex_.min_dim) % 2 else 1
+
+    violations = []
+    checked = 0
+    for d in chambers:
+        for a in _below(complex_, d):
+            checked += 1
+            lhs = [Polynomial.zero(nvars)] * len(chambers)
+            for f in _below(complex_, d):
+                if leq_signs(a.signs, f.signs):
+                    coords = m_vector(complex_, f, d, product)
+                    lhs = [x + y.scale(sign(f)) for x, y in zip(lhs, coords)]
+            d_opp = by_signs[opposite_signs(a.signs, d.signs)]
+            scale = distance(d, d_opp)
+            rhs = [
+                (scale * coord).scale(sign(d))
+                for coord in m_vector(complex_, a, d_opp, product)
+            ]
+            if lhs != rhs:
+                violations.append({"A": a.id, "D": d.id})
+    return {"checked": checked, "violations": violations}
 
 
 def solve_lp_fraction(objective, a_ub, b_ub, a_eq, b_eq):

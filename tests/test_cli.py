@@ -290,6 +290,36 @@ def test_detfile_malformed_exits_2(data_dir, tmp_path, capsys):
     assert main(["detfile", str(bad)]) == 2
 
 
+def test_detfile_rejects_entry_on_both_sides_of_a_hyperplane(tmp_path, capsys):
+    # Square-free with coefficient 1 and opposite to its transpose, but no
+    # distance holds both h1^+ and h1^-.
+    bad = tmp_path / "both.vmx"
+    bad.write_text("vmatrix 2 1\n1\nh1^+ h1^-\nh1^- h1^+\n1\n")
+    assert main(["detfile", str(bad)]) == 2
+    assert "not a distance matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["faces", "nope.arr"], "cannot read"),
+        (["detfile", "nope.vmx"], "cannot read"),
+        (["verify", "r1.arr", "--checks", "tits,bogus"], "unknown checks"),
+        (
+            ["detfile", "two_pairs_apartment.vmx", "--expected", "garbage"],
+            "unparsed trailing text",
+        ),
+    ],
+    ids=["unreadable-arr", "unreadable-vmx", "unknown-check", "bad-expected"],
+)
+def test_errors_outside_a_file_name_no_line(data_dir, capsys, argv, message):
+    argv = [argv[0], str(data_dir / argv[1]), *argv[2:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "line 0" not in err
+
+
 def test_parse_expected_product():
     factored = parse_expected_product(PAPER_PRODUCT, 8)
     one = Polynomial.one(8)

@@ -53,6 +53,12 @@ def test_generic_three_lines_counts(generic3):
     assert chambers == 1 + m + m * (m - 1) // 2
 
 
+def test_find_requires_one_sign_per_hyperplane(crossing):
+    assert crossing.find((PLUS, ZERO)).signs == (PLUS, ZERO)
+    assert crossing.find((PLUS,)) is None
+    assert crossing.find((PLUS, ZERO, ZERO)) is None
+
+
 def test_empty_arrangement_single_chamber():
     complex_ = enumerate_faces(Arrangement(2, []))
     assert len(complex_.faces) == 1
@@ -80,13 +86,13 @@ def test_order_is_partial_order(crossing, generic3):
     for complex_ in (crossing, generic3):
         faces = complex_.faces
         for f in faces:
-            assert complex_.leq(f, f)
+            assert face_leq(f, f)
             for g in faces:
-                if complex_.leq(f, g) and complex_.leq(g, f):
+                if face_leq(f, g) and face_leq(g, f):
                     assert f is g
                 for k in faces:
-                    if complex_.leq(f, g) and complex_.leq(g, k):
-                        assert complex_.leq(f, k)
+                    if face_leq(f, g) and face_leq(g, k):
+                        assert face_leq(f, k)
 
 
 def test_closure_faces_examples(r1, crossing):

@@ -1,0 +1,150 @@
+"""The half-space masks against the sign-vector oracles, and their behaviour
+when one hyperplane is reoriented."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from varchenko.apartments import enumerate_apartments
+from varchenko.euler import lemma_ch_check, lemma_chm_check
+from varchenko.faces import enumerate_faces, face_leq
+from varchenko.geometry import ZERO, Arrangement, Hyperplane
+from varchenko.polyring import Polynomial, weight
+from varchenko.tits import opposite_through, tits_product, tits_semigroup_check
+from varchenko.varmatrix import (
+    DEFAULT_SYMBOLIC_THRESHOLD,
+    det_symbolic,
+    mad_recurrence_check,
+    v,
+    v_path_identity_check,
+    varchenko_matrix,
+)
+from varchenko.witt import witt_sweep
+from conftest import BUNDLED
+from oracles import (
+    distance,
+    faces_by_signs,
+    leq_signs,
+    mad_recurrence_violations,
+    opposite_signs,
+    sign_product,
+    v_path_violations,
+    weight_of,
+)
+from test_faces import _arrangements
+
+
+def _apartment_subsets(m):
+    yield from (s for k in (0, 1, 2) for s in combinations(range(m), k))
+    yield tuple(range(m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_arrangements(2, 5), _arrangements(3, 4)))
+def test_mask_operations_match_sign_vector_oracles(arrangement):
+    complex_ = enumerate_faces(arrangement)
+    faces = complex_.faces
+    by_signs = faces_by_signs(complex_)
+    product = sign_product(complex_)
+    for f in faces:
+        assert complex_.find(f.signs) is f
+        zeros = tuple(h for h, s in enumerate(f.signs) if s == ZERO)
+        assert f.zero_set() == zeros
+        assert f.is_chamber == (not zeros)
+        if zeros:
+            assert weight(f) == weight_of(f)
+        for g in faces:
+            assert face_leq(f, g) == leq_signs(f.signs, g.signs)
+            assert tits_product(complex_, f, g) is product(f, g)
+
+    chambers = complex_.chambers()
+    for d in chambers:
+        for c in chambers:
+            assert v(c, d) == distance(c, d)
+        for a in faces:
+            if leq_signs(a.signs, d.signs):
+                expected = by_signs[opposite_signs(a.signs, d.signs)]
+                assert opposite_through(complex_, a, d) is expected
+
+    for subset in _apartment_subsets(arrangement.size):
+        apartments = enumerate_apartments(complex_, subset)
+        restricted = {tuple(c.signs[h] for h in subset) for c in chambers}
+        assert {a.base_signs for a in apartments} == restricted
+        for apartment in apartments:
+            for f in faces:
+                inside = all(
+                    f.signs[h] == s
+                    for h, s in zip(apartment.subset, apartment.base_signs)
+                )
+                assert apartment.matches(f) == inside
+
+    for check, oracle in (
+        (v_path_identity_check, v_path_violations),
+        (mad_recurrence_check, mad_recurrence_violations),
+    ):
+        result = check(complex_)
+        expected = oracle(complex_)
+        assert result.status == "pass" and not expected.pop("violations")
+        assert result.details == expected
+
+
+def _reorient(arrangement, i):
+    """The same arrangement with the normal and offset of H_i negated."""
+    hyperplanes = list(arrangement.hyperplanes)
+    h = hyperplanes[i]
+    hyperplanes[i] = Hyperplane(tuple(-a for a in h.normal), -h.offset)
+    return Arrangement(arrangement.dimension, hyperplanes)
+
+
+def _swap_bits(mask, i):
+    plus, minus = mask >> 2 * i & 1, mask >> 2 * i + 1 & 1
+    return mask & ~(3 << 2 * i) | minus << 2 * i | plus << 2 * i + 1
+
+
+def _swap_variables(poly, i):
+    """Substitute h_i^+ <-> h_i^- (0-based hyperplane i)."""
+    return Polynomial(
+        poly.nvars,
+        {
+            m[: 2 * i] + (m[2 * i + 1], m[2 * i]) + m[2 * i + 2 :]: c
+            for m, c in poly.terms.items()
+        },
+    )
+
+
+CHECKS = (
+    tits_semigroup_check,
+    witt_sweep,
+    lemma_ch_check,
+    lemma_chm_check,
+    v_path_identity_check,
+    mad_recurrence_check,
+)
+
+
+def _counts(result):
+    """Status and the counts in a check's details; face ids can change."""
+    return result.status, {
+        key: len(value) if isinstance(value, list) else value
+        for key, value in result.details.items()
+        if isinstance(value, (int, list))
+    }
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reorienting_a_hyperplane_swaps_its_half_spaces(complexes, name):
+    original = complexes[name]
+    counts = [_counts(check(original)) for check in CHECKS]
+    symbolic = len(original.chamber_ids) <= DEFAULT_SYMBOLIC_THRESHOLD
+    if symbolic:
+        det = det_symbolic(varchenko_matrix(original.chambers()))
+    for i in range(original.arrangement.size):
+        flipped = enumerate_faces(_reorient(original.arrangement, i))
+        assert {f.half: f.dim for f in flipped.faces} == {
+            _swap_bits(f.half, i): f.dim for f in original.faces
+        }
+        assert [_counts(check(flipped)) for check in CHECKS] == counts
+        if symbolic:
+            flipped_det = det_symbolic(varchenko_matrix(flipped.chambers()))
+            assert flipped_det == _swap_variables(det, i)

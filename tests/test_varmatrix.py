@@ -22,19 +22,23 @@ from varchenko.varmatrix import (
     det_at,
     det_modular,
     det_symbolic,
-    m_vector,
     mad_recurrence_check,
     modular_assignment,
     multiplicity,
     product_formula,
-    separator_set,
     v,
     v_path_identity_check,
     varchenko_matrix,
     VMatrix,
     verify_factorization,
 )
-from oracles import det_by_permutations
+from oracles import (
+    det_by_permutations,
+    m_vector,
+    mad_recurrence_violations,
+    v_path_violations,
+)
+from test_tits import corrupted_generic3
 
 APARTMENT_ORDER = [
     (MINUS, PLUS, PLUS, PLUS),
@@ -58,22 +62,22 @@ def printed_product(nvars=8):
     return factor(1, 2) * factor(2, 2) * factor(3, 3)
 
 
-def test_separator_set_examples(r1, crossing):
-    c = crossing.find((PLUS, PLUS))
-    assert separator_set(c, c) == set()
-    assert separator_set(r1.find((PLUS,)), r1.find((MINUS,))) == {(0, PLUS)}
-    assert separator_set(
-        crossing.find((PLUS, PLUS)), crossing.find((MINUS, MINUS))
-    ) == {(0, PLUS), (1, PLUS)}
-    with pytest.raises(ValueError):
-        separator_set(crossing.find((ZERO, PLUS)), c)
-
-
-def test_v_examples(r1):
+def test_v_examples(r1, crossing):
     plus, minus = r1.find((PLUS,)), r1.find((MINUS,))
     assert v(plus, plus).is_one()
     assert format_polynomial(v(plus, minus)) == "1 * h1^+"
     assert format_polynomial(v(minus, plus)) == "1 * h1^-"
+    c = crossing.find((PLUS, PLUS))
+    assert v(c, c).is_one()
+    assert format_polynomial(v(c, crossing.find((MINUS, MINUS)))) == (
+        "1 * h1^+ h2^+"
+    )
+    assert format_polynomial(v(c, crossing.find((PLUS, MINUS)))) == "1 * h2^+"
+    for face in (crossing.find((ZERO, PLUS)), crossing.find((ZERO, ZERO))):
+        with pytest.raises(ValueError):
+            v(face, c)
+        with pytest.raises(ValueError):
+            v(face, face)
 
 
 def test_r1_matrix_and_det(r1):
@@ -319,6 +323,22 @@ def test_verify_factorization_modular_roundtrip(r3):
 def test_v_path_identity(crossing, generic3):
     assert v_path_identity_check(crossing).status == "pass"
     assert v_path_identity_check(generic3).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "check, oracle",
+    [
+        (v_path_identity_check, v_path_violations),
+        (mad_recurrence_check, mad_recurrence_violations),
+    ],
+)
+def test_identity_checks_report_a_corrupted_table_entry(check, oracle):
+    complex_, corrupted = corrupted_generic3()
+    expected = oracle(complex_, corrupted)
+    assert expected["violations"]
+    result = check(complex_)
+    assert result.status == "fail"
+    assert result.details == expected
 
 
 def test_m_vector_at_top_is_distance_row(crossing):
