@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varchenko.apartments import chambers_in, central_apartment_around, faces_in, find_apartment, touching_hyperplanes
-from varchenko.faces import enumerate_faces
+from varchenko.faces import enumerate_faces, half_mask
 from varchenko.files import parse_arrangement
 from varchenko.files import bundled_text, parse_matrix
 from varchenko.geometry import MINUS, PLUS, ZERO
@@ -60,6 +60,28 @@ def printed_product(nvars=8):
         return (one - pair) ** e
 
     return factor(1, 2) * factor(2, 2) * factor(3, 3)
+
+
+def separator_set(c, d):
+    """The (hyperplane, sign of c) pairs of the hyperplanes separating the
+    chambers c and d, read off the mask of v(c, d)."""
+    (exponents,) = v(c, d).terms
+    return {tuple(var_of_index(i)) for i, e in enumerate(exponents) if e}
+
+
+def test_separator_set_examples(r1, crossing):
+    c = crossing.find((PLUS, PLUS))
+    assert separator_set(c, c) == set()
+    assert separator_set(r1.find((PLUS,)), r1.find((MINUS,))) == {(0, PLUS)}
+    assert separator_set(
+        crossing.find((PLUS, PLUS)), crossing.find((MINUS, MINUS))
+    ) == {(0, PLUS), (1, PLUS)}
+    for d in crossing.chambers():
+        mask = half_mask(separator_set(c, d))
+        assert mask == c.half & ~d.half
+        assert v(c, d) == Polynomial.square_free(4, mask)
+    with pytest.raises(ValueError):
+        separator_set(crossing.find((ZERO, PLUS)), c)
 
 
 def test_v_examples(r1, crossing):
