@@ -30,7 +30,6 @@ from .tits import (
 )
 from .apartments import (
     Apartment,
-    central_apartment_around,
     chambers_in,
     enumerate_apartments,
     faces_in,

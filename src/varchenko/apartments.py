@@ -14,19 +14,14 @@ from .geometry import MINUS, PLUS
 
 
 class Apartment:
-    """A chamber of the sub-arrangement on `subset`, with a witness point."""
+    """A chamber of the sub-arrangement on `subset`."""
 
-    __slots__ = ("subset", "base_signs", "half", "id", "witness")
+    __slots__ = ("subset", "base_signs", "half")
 
-    def __init__(self, subset, base_signs, apartment_id, witness):
+    def __init__(self, subset, base_signs):
         self.subset = tuple(subset)
         self.base_signs = tuple(base_signs)
         self.half = half_mask(zip(self.subset, self.base_signs))
-        self.id = apartment_id
-        self.witness = witness
-
-    def key(self):
-        return (self.subset, sign_key(self.base_signs))
 
     def matches(self, face: Face) -> bool:
         """Whether the face lies inside this apartment."""
@@ -60,15 +55,11 @@ def enumerate_apartments(complex_: FaceComplex, subset):
     if len(set(subset)) != len(subset):
         raise ValueError("subset contains repeated indices")
 
-    seen = {}
-    for chamber in complex_.chambers():
-        half = chamber.half
-        restricted = tuple(MINUS if half >> 2 * h & 2 else PLUS for h in subset)
-        seen.setdefault(restricted, chamber.witness)
-    return [
-        Apartment(subset, signs, i, seen[signs])
-        for i, signs in enumerate(sorted(seen, key=sign_key))
-    ]
+    restricted = {
+        tuple(MINUS if c.half >> 2 * h & 2 else PLUS for h in subset)
+        for c in complex_.chambers()
+    }
+    return [Apartment(subset, signs) for signs in sorted(restricted, key=sign_key)]
 
 
 def find_apartment(complex_: FaceComplex, subset, base_signs):
@@ -88,41 +79,3 @@ def faces_in(complex_: FaceComplex, apartment: Apartment):
 def chambers_in(complex_: FaceComplex, apartment: Apartment):
     """Chambers inside the apartment, in face-id order."""
     return [f for f in complex_.chambers() if apartment.matches(f)]
-
-
-def touching_hyperplanes(complex_: FaceComplex, apartment: Apartment):
-    """Hyperplanes whose intersection with the apartment's closure has
-    dimension n-1: those crossing the open apartment, plus subset members
-    carrying a facet of it. Decided exactly by LP."""
-    from .geometry import ZERO, feasible_interior
-
-    arrangement = complex_.arrangement
-    base = dict(zip(apartment.subset, apartment.base_signs))
-    touching = set()
-    for h in range(arrangement.size):
-        constraints = [(arrangement.hyperplanes[h], ZERO)]
-        for k, sign in base.items():
-            if k != h:
-                constraints.append((arrangement.hyperplanes[k], sign))
-        if feasible_interior(constraints) is not None:
-            touching.add(h)
-    return touching
-
-
-def central_apartment_around(complex_: FaceComplex, face: Face) -> Apartment:
-    """The apartment cut out by the hyperplanes *not* containing the face.
-
-    Its restriction arrangement is central with center the face: every
-    hyperplane meeting the apartment contains the face.
-    """
-    if face.is_chamber:
-        raise ValueError(
-            "central apartments exist only around non-chamber faces"
-        )
-    zero = face.zero_set()
-    subset = [h for h in range(complex_.arrangement.size) if h not in zero]
-    # the open half-spaces containing the face are exactly the apartment's
-    for apartment in enumerate_apartments(complex_, subset):
-        if apartment.half == face.half:
-            return apartment
-    raise RuntimeError("central apartment unexpectedly infeasible")

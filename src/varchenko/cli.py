@@ -370,7 +370,8 @@ _FACTOR_RE = re.compile(r"\(\s*1\s*-\s*([^()]+?)\s*\)\s*(?:\^(\d+))?")
 
 
 def parse_expected_product(text: str, nvars: int) -> FactoredDet:
-    """Parse '(1 - MONOMIAL)^k (1 - MONOMIAL)^k ...' into factored form."""
+    """Parse '(1 - MONOMIAL)^k (1 - MONOMIAL)^k ...' into factored form,
+    each MONOMIAL nonconstant with coefficient 1."""
     factors = []
     consumed = 0
     for match in _FACTOR_RE.finditer(text):
@@ -379,6 +380,11 @@ def parse_expected_product(text: str, nvars: int) -> FactoredDet:
                 f"unparsed text {text[consumed:match.start()]!r} in expected product"
             )
         monomial = parse_polynomial(match.group(1), nvars)
+        if list(monomial.terms.values()) != [1] or monomial.constant_term():
+            raise ValueError(
+                f"factor {match.group(0).strip()!r} is not (1 - MONOMIAL) "
+                "with a nonconstant monomial of coefficient 1"
+            )
         exponent = int(match.group(2)) if match.group(2) else 1
         factors.append((None, monomial, exponent))
         consumed = match.end()
@@ -404,7 +410,10 @@ def cmd_detfile(args) -> int:
     verified = None
     if args.expected:
         expected = parse_expected_product(args.expected, matrix.nvars)
-        verified = expected.expand() == determinant
+        # Z[h] is a domain: unequal total degrees settle it without expanding
+        degree = sum(k * sum(b.leading_term()[0]) for _, b, k in expected.factors)
+        verified = degree == max(map(sum, determinant.terms), default=-1)
+        verified = verified and expected.expand() == determinant
         payload["expected"] = expected.text()
         payload["verified"] = verified
 

@@ -211,20 +211,6 @@ def eval_mod_p(poly: Polynomial, assignment, prime: int) -> int:
     return total
 
 
-def zero_substitution(poly: Polynomial, hyperplanes) -> Polynomial:
-    """Set h_i^+ = h_i^- = 0 for every hyperplane index in `hyperplanes`."""
-    killed = set()
-    for h in hyperplanes:
-        killed.add(2 * h)
-        killed.add(2 * h + 1)
-    kept = {
-        mono: coef
-        for mono, coef in poly.terms.items()
-        if not any(mono[i] for i in killed)
-    }
-    return Polynomial(poly.nvars, kept)
-
-
 def weight(face) -> Polynomial:
     """The weight monomial of a non-chamber face: prod h_i^+ h_i^- over A_F,
     the variables of the face's `zero` mask."""

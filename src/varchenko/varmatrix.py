@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .apartments import chambers_in, faces_in
-from .faces import Face, FaceComplex, centralization, closure_faces, face_leq
+from .faces import Face, FaceComplex, centralization, closure_faces
 from .polyring import (
     Polynomial,
     eval_mod_p,
@@ -26,7 +28,8 @@ from .polyring import (
     weight,
 )
 from .report import FAIL, PASS, CheckResult
-from .tits import nested_interval, opposite_through, rank, tits_product
+from .tits import opposite_through, tits_product
+from .witt import witt_lhs, witt_rhs
 
 DEFAULT_PRIME = 2**61 - 1
 DEFAULT_SYMBOLIC_THRESHOLD = 12
@@ -224,18 +227,18 @@ def det_at(matrix: VMatrix, assignment, prime: int) -> int:
     return _det_mod(numeric, prime)
 
 
-def det_modular(matrix: VMatrix, seed=0, trials: int = 10, prime: int = DEFAULT_PRIME):
-    """Determinant values at `trials` random evaluations mod prime, in trial
-    order; each trial is deterministic from (seed, trial index)."""
+def det_modular(matrix: VMatrix, seed=0, trials: int = 10):
+    """Determinant values at `trials` random evaluations mod DEFAULT_PRIME,
+    in trial order; each trial is deterministic from (seed, trial index)."""
     if trials < 1:
         raise ValueError("need at least one trial")
 
     def run(trial: int) -> ModularTrial:
-        assignment = modular_assignment(matrix.nvars, seed, trial, prime)
+        assignment = modular_assignment(matrix.nvars, seed, trial, DEFAULT_PRIME)
         return ModularTrial(
             trial,
-            assignment_digest(assignment, prime),
-            det_at(matrix, assignment, prime),
+            assignment_digest(assignment, DEFAULT_PRIME),
+            det_at(matrix, assignment, DEFAULT_PRIME),
         )
 
     return [run(t) for t in range(trials)]
@@ -272,23 +275,17 @@ def _det_mod(rows, prime: int) -> int:
 def _chamber_trace(complex_: FaceComplex, chamber: Face, h: int):
     """The face F with closure(chamber) meet H_h = closure(F), or None.
 
-    Combinatorial form: among the faces of the chamber's closure lying on
-    H_h, the condition holds exactly when a unique maximum exists.
+    F is the largest closure face on H_h, so its mask is the union of theirs;
+    None when no closure face lies on H_h or that union is not a face.
     """
     cache = complex_._traces
     key = (chamber.id, h)
-    if key in cache:
-        return cache[key]
-    on_h = [
-        g for g in closure_faces(complex_, chamber) if g.zero >> 2 * h & 1
-    ]
-    found = None
-    for g in on_h:
-        if all(face_leq(other, g) for other in on_h):
-            found = g
-            break
-    cache[key] = found
-    return found
+    if key not in cache:
+        on_h = [
+            g.half for g in closure_faces(complex_, chamber) if g.zero >> 2 * h & 1
+        ]
+        cache[key] = complex_.by_half.get(reduce(or_, on_h)) if on_h else None
+    return cache[key]
 
 
 def multiplicity(complex_: FaceComplex, face: Face, h: int, chambers) -> int:
@@ -529,10 +526,10 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
 
     checked exactly for every nested pair (A, D) with D a chamber. The
     coordinate of m(A, D) at a chamber C is v(D, C) when AC = D and zero
-    otherwise. So every coordinate is an integer times a square-free
-    monomial, and both sides are compared as (coefficient, mask) pairs,
-    with (0, 0) for zero; the product v(D, D~_A) v(D~_A, C) is the OR of
-    the two masks, by the rule in `v`'s docstring.
+    otherwise, so the coordinates at C are the Witt vectors scaled by
+    distances: witt_lhs times v(D, C), and witt_rhs times
+    v(D, D~_A) v(D~_A, C), the OR of two masks by the rule in `v`'s
+    docstring. Both are compared as (coefficient, mask), (0, 0) for zero.
     """
     chambers = complex_.chambers()
     violations = []
@@ -540,24 +537,15 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     for d in chambers:
         for a in closure_faces(complex_, d):
             checked += 1
-            counts = [0] * len(chambers)
-            for f in nested_interval(complex_, a, d):
-                sign = -1 if rank(complex_, f) % 2 else 1
-                for i, c in enumerate(chambers):
-                    if tits_product(complex_, f, c) is d:
-                        counts[i] += sign
             lhs = [
                 (k, d.half & ~c.half) if k else (0, 0)
-                for k, c in zip(counts, chambers)
+                for k, c in zip(witt_lhs(complex_, a, d), chambers)
             ]
             d_opp = opposite_through(complex_, a, d)
             scale = d.half & ~d_opp.half
-            sign = -1 if rank(complex_, d) % 2 else 1
             rhs = [
-                (sign, scale | (d_opp.half & ~c.half))
-                if tits_product(complex_, a, c) is d_opp
-                else (0, 0)
-                for c in chambers
+                (k, scale | (d_opp.half & ~c.half)) if k else (0, 0)
+                for k, c in zip(witt_rhs(complex_, a, d), chambers)
             ]
             if lhs != rhs:
                 violations.append({"A": a.id, "D": d.id})

@@ -2,7 +2,9 @@
 
 The formal sums over chamber variables x_C reduce to integer coefficient
 vectors indexed by chambers; linear independence of the x_C makes
-coefficientwise equality the whole content of the identities.
+coefficientwise equality the whole content of the identities. One function,
+`signed_chamber_vector`, counts the signed vectors; the m(A, D) recurrence
+in `varmatrix` reuses both Witt sides, scaled by distance masks.
 """
 
 from __future__ import annotations
@@ -13,19 +15,24 @@ from .report import FAIL, PASS, SKIPPED, CheckResult
 from .tits import nested_interval, opposite_through, rank, tits_product
 
 
+def signed_chamber_vector(complex_: FaceComplex, faces, d: Face):
+    """Coefficient at each chamber C, in chamber order: the sum of
+    (-1)^{rk F} over the listed faces F with FC = D."""
+    chambers = complex_.chambers()
+    coords = [0] * len(chambers)
+    for f in faces:
+        sign = -1 if rank(complex_, f) % 2 else 1
+        for i, c in enumerate(chambers):
+            if tits_product(complex_, f, c) is d:
+                coords[i] += sign
+    return coords
+
+
 def witt_lhs(complex_: FaceComplex, a: Face, d: Face):
     """Coefficient at C: sum of (-1)^{rk F} over F in [A, D] with FC = D."""
     if not d.is_chamber:
         raise ValueError(f"witt_lhs requires a chamber, got {d!r}")
-    interval = nested_interval(complex_, a, d)
-    coords = []
-    for c in complex_.chambers():
-        total = 0
-        for f in interval:
-            if tits_product(complex_, f, c) is d:
-                total += -1 if rank(complex_, f) % 2 else 1
-        coords.append(total)
-    return coords
+    return signed_chamber_vector(complex_, nested_interval(complex_, a, d), d)
 
 
 def witt_rhs(complex_: FaceComplex, a: Face, d: Face):
@@ -54,13 +61,9 @@ def witt2_check(complex_: FaceComplex, d: Face) -> CheckResult:
 
     sign = -1 if complex_.min_dim % 2 else 1
     expected_diagonal = sign * euler_closure(complex_, d)
-    closure = closure_faces(complex_, d)
+    counts = signed_chamber_vector(complex_, closure_faces(complex_, d), d)
     bad = []
-    for i, c in enumerate(complex_.chambers()):
-        total = 0
-        for f in closure:
-            if tits_product(complex_, f, c) is d:
-                total += -1 if rank(complex_, f) % 2 else 1
+    for c, total in zip(complex_.chambers(), counts):
         want = expected_diagonal if c is d else 0
         if total != want:
             bad.append({"C": c.id, "coefficient": total, "expected": want})

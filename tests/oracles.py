@@ -3,7 +3,8 @@
 import itertools
 from fractions import Fraction
 
-from varchenko.geometry import MINUS, PLUS, ZERO
+from varchenko.apartments import enumerate_apartments
+from varchenko.geometry import MINUS, PLUS, ZERO, feasible_interior
 from varchenko.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from varchenko.polyring import Polynomial, VarId
 
@@ -129,6 +130,54 @@ def _below(complex_, face):
     return [f for f in complex_.faces if leq_signs(f.signs, face.signs)]
 
 
+def _rank_sign(complex_, face):
+    """(-1)^{rk F}, with rk F = dim F minus the least face dimension."""
+    return -1 if (face.dim - complex_.min_dim) % 2 else 1
+
+
+def witt_vectors(complex_, a, d, product=None):
+    """Both sides of the Witt identity of a nested pair (A, D), in
+    chamber-id order: at C, the sum of (-1)^{rk F} over F in [A, D] with
+    FC = D, and (-1)^{rk D} when AC is the chamber opposite D through A."""
+    product = product or sign_product(complex_)
+    d_opp = faces_by_signs(complex_)[opposite_signs(a.signs, d.signs)]
+    interval = [f for f in _below(complex_, d) if leq_signs(a.signs, f.signs)]
+    chambers = complex_.chambers()
+    lhs = [
+        sum(_rank_sign(complex_, f) for f in interval if product(f, c) is d)
+        for c in chambers
+    ]
+    rhs = [
+        _rank_sign(complex_, d) if product(a, c) is d_opp else 0
+        for c in chambers
+    ]
+    return lhs, rhs
+
+
+def witt_pair_failures(complex_, product=None):
+    """Reference for the `pair_failures` of `witt_sweep`: the nested pairs
+    (A, D) whose two Witt vectors differ, in the order the sweep lists them."""
+    failures = []
+    for d in complex_.chambers():
+        for a in _below(complex_, d):
+            lhs, rhs = witt_vectors(complex_, a, d, product)
+            if lhs != rhs:
+                failures.append({"A": a.id, "D": d.id})
+    return failures
+
+
+def chamber_trace(complex_, chamber, h):
+    """Reference for `varmatrix._chamber_trace`: the face of the chamber's
+    closure on H_h that lies above every other such face, or None."""
+    on_h = [
+        g for g in _below(complex_, chamber) if g.signs[h] == ZERO
+    ]
+    return next(
+        (g for g in on_h if all(leq_signs(o.signs, g.signs) for o in on_h)),
+        None,
+    )
+
+
 def v_path_violations(complex_, product=None):
     """Reference for `v_path_identity_check`: the Polynomial comparison
     v(C,D) = v(C,FD) v(FD,D) over chambers C, D and faces F <= C."""
@@ -177,10 +226,6 @@ def mad_recurrence_violations(complex_, product=None):
     by_signs = faces_by_signs(complex_)
     nvars = 2 * complex_.arrangement.size
     chambers = complex_.chambers()
-
-    def sign(face):
-        return -1 if (face.dim - complex_.min_dim) % 2 else 1
-
     violations = []
     checked = 0
     for d in chambers:
@@ -190,16 +235,70 @@ def mad_recurrence_violations(complex_, product=None):
             for f in _below(complex_, d):
                 if leq_signs(a.signs, f.signs):
                     coords = m_vector(complex_, f, d, product)
-                    lhs = [x + y.scale(sign(f)) for x, y in zip(lhs, coords)]
+                    sign = _rank_sign(complex_, f)
+                    lhs = [x + y.scale(sign) for x, y in zip(lhs, coords)]
             d_opp = by_signs[opposite_signs(a.signs, d.signs)]
             scale = distance(d, d_opp)
             rhs = [
-                (scale * coord).scale(sign(d))
+                (scale * coord).scale(_rank_sign(complex_, d))
                 for coord in m_vector(complex_, a, d_opp, product)
             ]
             if lhs != rhs:
                 violations.append({"A": a.id, "D": d.id})
     return {"checked": checked, "violations": violations}
+
+
+# -- apartment and polynomial helpers used only by tests ----------------------
+
+
+def touching_hyperplanes(complex_, apartment):
+    """Hyperplanes whose intersection with the apartment's closure has
+    dimension n-1: those crossing the open apartment, plus subset members
+    carrying a facet of it. Decided exactly by LP."""
+    arrangement = complex_.arrangement
+    base = dict(zip(apartment.subset, apartment.base_signs))
+    touching = set()
+    for h in range(arrangement.size):
+        constraints = [(arrangement.hyperplanes[h], ZERO)]
+        for k, sign in base.items():
+            if k != h:
+                constraints.append((arrangement.hyperplanes[k], sign))
+        if feasible_interior(constraints) is not None:
+            touching.add(h)
+    return touching
+
+
+def central_apartment_around(complex_, face):
+    """The apartment cut out by the hyperplanes *not* containing the face.
+
+    Its restriction arrangement is central with center the face: every
+    hyperplane meeting the apartment contains the face.
+    """
+    if face.is_chamber:
+        raise ValueError(
+            "central apartments exist only around non-chamber faces"
+        )
+    zero = face.zero_set()
+    subset = [h for h in range(complex_.arrangement.size) if h not in zero]
+    # the open half-spaces containing the face are exactly the apartment's
+    for apartment in enumerate_apartments(complex_, subset):
+        if apartment.half == face.half:
+            return apartment
+    raise RuntimeError("central apartment unexpectedly infeasible")
+
+
+def zero_substitution(poly: Polynomial, hyperplanes) -> Polynomial:
+    """Set h_i^+ = h_i^- = 0 for every hyperplane index in `hyperplanes`."""
+    killed = set()
+    for h in hyperplanes:
+        killed.add(2 * h)
+        killed.add(2 * h + 1)
+    kept = {
+        mono: coef
+        for mono, coef in poly.terms.items()
+        if not any(mono[i] for i in killed)
+    }
+    return Polynomial(poly.nvars, kept)
 
 
 def solve_lp_fraction(objective, a_ub, b_ub, a_eq, b_eq):

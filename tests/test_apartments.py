@@ -1,15 +1,14 @@
 import pytest
 
 from varchenko.apartments import (
-    central_apartment_around,
     chambers_in,
     enumerate_apartments,
     faces_in,
     find_apartment,
-    touching_hyperplanes,
 )
 from varchenko.faces import centralization, closure_faces
 from varchenko.geometry import MINUS, PLUS, ZERO
+from oracles import central_apartment_around, touching_hyperplanes
 
 
 def test_empty_subset_single_apartment(crossing):

@@ -284,6 +284,28 @@ def test_detfile_trivial_matrices(data_dir, capsys):
     assert "determinant: 1 - 1 * h1^+ h1^-" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "expected",
+    ["(1 - 1)", "(1 - 0)", "(1 - h1^+ + h1^-)(1 - h1^+)"],
+    ids=["constant", "zero", "binomial"],
+)
+def test_detfile_rejects_factor_that_is_not_one_minus_monomial(
+    data_dir, capsys, expected
+):
+    argv = ["detfile", str(data_dir / "two_pairs_apartment.vmx")]
+    assert main([*argv, "--expected", expected]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: factor ") and "(1 - MONOMIAL)" in err
+
+
+def test_detfile_degree_mismatch_fails_without_expanding(data_dir, capsys):
+    # Expanding this power would never finish; the degrees 0 and
+    # 2 * 99999999999 differ, so the product cannot match.
+    argv = ["detfile", str(data_dir / "one.vmx"), "--json"]
+    assert main([*argv, "--expected", "(1 - h1^+ h1^-)^99999999999"]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is False
+
+
 def test_detfile_malformed_exits_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.vmx"
     bad.write_text("vmatrix 2 1\n1\n1 * h1^+\n")

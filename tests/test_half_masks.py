@@ -14,15 +14,17 @@ from varchenko.polyring import Polynomial, weight
 from varchenko.tits import opposite_through, tits_product, tits_semigroup_check
 from varchenko.varmatrix import (
     DEFAULT_SYMBOLIC_THRESHOLD,
+    _chamber_trace,
     det_symbolic,
     mad_recurrence_check,
     v,
     v_path_identity_check,
     varchenko_matrix,
 )
-from varchenko.witt import witt_sweep
+from varchenko.witt import witt_lhs, witt_rhs, witt_sweep
 from conftest import BUNDLED
 from oracles import (
+    chamber_trace,
     distance,
     faces_by_signs,
     leq_signs,
@@ -31,6 +33,7 @@ from oracles import (
     sign_product,
     v_path_violations,
     weight_of,
+    witt_vectors,
 )
 from test_faces import _arrangements
 
@@ -66,6 +69,12 @@ def test_mask_operations_match_sign_vector_oracles(arrangement):
             if leq_signs(a.signs, d.signs):
                 expected = by_signs[opposite_signs(a.signs, d.signs)]
                 assert opposite_through(complex_, a, d) is expected
+                assert (
+                    witt_lhs(complex_, a, d),
+                    witt_rhs(complex_, a, d),
+                ) == witt_vectors(complex_, a, d)
+        for h in range(arrangement.size):
+            assert _chamber_trace(complex_, d, h) is chamber_trace(complex_, d, h)
 
     for subset in _apartment_subsets(arrangement.size):
         apartments = enumerate_apartments(complex_, subset)

@@ -9,8 +9,8 @@ from varchenko.polyring import (
     format_polynomial,
     parse_polynomial,
     weight,
-    zero_substitution,
 )
+from oracles import zero_substitution
 
 NV = 8
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varchenko.apartments import chambers_in, central_apartment_around, faces_in, find_apartment, touching_hyperplanes
+from varchenko.apartments import chambers_in, faces_in, find_apartment
 from varchenko.faces import enumerate_faces, half_mask
 from varchenko.files import parse_arrangement
 from varchenko.files import bundled_text, parse_matrix
@@ -13,7 +13,6 @@ from varchenko.polyring import (
     var_of_index,
     format_polynomial,
     weight,
-    zero_substitution,
 )
 from varchenko.tits import tits_product
 from varchenko.varmatrix import (
@@ -33,10 +32,13 @@ from varchenko.varmatrix import (
     verify_factorization,
 )
 from oracles import (
+    central_apartment_around,
     det_by_permutations,
     m_vector,
     mad_recurrence_violations,
+    touching_hyperplanes,
     v_path_violations,
+    zero_substitution,
 )
 from test_tits import corrupted_generic3
 

@@ -3,6 +3,8 @@ from varchenko.faces import closure_faces
 from varchenko.geometry import MINUS, PLUS, ZERO
 from varchenko.tits import rank
 from varchenko.witt import witt2_check, witt_lhs, witt_rhs, witt_sweep
+from oracles import witt_pair_failures
+from test_tits import corrupted_generic3
 
 
 def test_witt_equal_faces(crossing):
@@ -68,3 +70,12 @@ def test_witt_sweep_passes(complexes):
         result = witt_sweep(complex_)
         assert result.status == "pass"
         assert result.details["nested_pairs"] > 0
+
+
+def test_witt_sweep_reports_a_corrupted_table_entry():
+    complex_, corrupted = corrupted_generic3()
+    expected = witt_pair_failures(complex_, corrupted)
+    assert expected == [{"A": 4, "D": 0}, {"A": 4, "D": 8}]
+    result = witt_sweep(complex_)
+    assert result.status == "fail"
+    assert result.details["pair_failures"] == expected
