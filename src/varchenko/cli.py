@@ -29,10 +29,11 @@ from .varmatrix import (
     beta_independence,
     beta_independence_check,
     compare_with_product,
-    det_symbolic,
+    det_packed,
     mad_recurrence_check,
     product_formula,
     resolve_apartment,
+    shared_packing,
     v_path_identity_check,
     varchenko_matrix,
     verify_factorization,
@@ -249,9 +250,9 @@ def cmd_varchenko(args) -> int:
     if mismatches:
         payload["beta_mismatches"] = mismatches
     if mode == "symbolic":
-        determinant, expected = outcome
-        payload["determinant"] = format_polynomial(determinant)
-        payload["expanded_product"] = format_polynomial(expected)
+        packing, determinant, expected = outcome
+        payload["determinant"] = format_polynomial(packing.polynomial(determinant))
+        payload["expanded_product"] = format_polynomial(packing.polynomial(expected))
         verified = determinant == expected
     else:
         payload["seed"] = seed
@@ -401,19 +402,26 @@ def cmd_detfile(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.file}: {exc}") from None
     matrix = parse_matrix(text)
-    determinant = det_symbolic(matrix)
+    expected = (
+        parse_expected_product(args.expected, matrix.nvars)
+        if args.expected
+        else None
+    )
+    packing = shared_packing(matrix, expected)
+    packed = det_packed(matrix, packing)
+    determinant = packing.polynomial(packed)
     payload = {
         "schema": SCHEMA_VERSION,
         "size": matrix.size,
         "determinant": format_polynomial(determinant),
     }
     verified = None
-    if args.expected:
-        expected = parse_expected_product(args.expected, matrix.nvars)
-        # Z[h] is a domain: unequal total degrees settle it without expanding
-        degree = sum(k * sum(b.leading_term()[0]) for _, b, k in expected.factors)
+    if expected is not None:
+        # Z[h] is a domain: unequal total degrees settle it without
+        # expanding; the product's degree is the sum of its bounds
+        degree = sum(expected.bounds())
         verified = degree == max(map(sum, determinant.terms), default=-1)
-        verified = verified and expected.expand() == determinant
+        verified = verified and expected.packed(packing) == packed
         payload["expected"] = expected.text()
         payload["verified"] = verified
 

@@ -7,7 +7,9 @@ H+ the side where a.x > b.
 
 Matrix file: header ``vmatrix <size> <num_hyperplanes>``, then size^2
 polynomial entries in row-major order, one per line, in the canonical text
-form of the polynomial module.
+form of the polynomial module. Every term stores one exponent per ring
+variable, two per declared hyperplane, so the header may declare at most
+MAX_HYPERPLANES hyperplanes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from importlib.resources import files as _resource_files
 from .geometry import Hyperplane, Arrangement
 from .polyring import format_polynomial, parse_polynomial
 from .varmatrix import VMatrix
+
+MAX_HYPERPLANES = 10_000
 
 
 def bundled_text(name: str) -> str:
@@ -117,6 +121,12 @@ def parse_matrix(text: str) -> VMatrix:
     size, num_hyperplanes = int(parts[1]), int(parts[2])
     if size < 1:
         raise ParseError(header_no, "matrix size must be positive")
+    if num_hyperplanes > MAX_HYPERPLANES:
+        raise ParseError(
+            header_no,
+            f"{num_hyperplanes} hyperplanes declared, at most {MAX_HYPERPLANES} "
+            "supported",
+        )
     body = lines[1:]
     if len(body) != size * size:
         raise ParseError(

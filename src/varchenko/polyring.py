@@ -191,12 +191,18 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def eval_mod_p(poly: Polynomial, assignment, prime: int) -> int:
-    """Value of the polynomial mod prime at a total {VarId: int} assignment."""
-    values = [None] * poly.nvars
+def assignment_values(assignment, nvars: int, prime: int):
+    """A {VarId: int} assignment as a list indexed by variable, reduced mod
+    prime; None where a variable is unassigned."""
+    values = [None] * nvars
     for var, v in assignment.items():
-        if var.index < poly.nvars:
+        if var.index < nvars:
             values[var.index] = v % prime
+    return values
+
+
+def eval_values(poly: Polynomial, values, prime: int) -> int:
+    """Value of the polynomial mod prime at `assignment_values` output."""
     total = 0
     for mono, coef in poly.terms.items():
         product = coef % prime
@@ -209,6 +215,11 @@ def eval_mod_p(poly: Polynomial, assignment, prime: int) -> int:
                 product = product * pow(values[i], e, prime) % prime
         total = (total + product) % prime
     return total
+
+
+def eval_mod_p(poly: Polynomial, assignment, prime: int) -> int:
+    """Value of the polynomial mod prime at a total {VarId: int} assignment."""
+    return eval_values(poly, assignment_values(assignment, poly.nvars, prime), prime)
 
 
 def weight(face) -> Polynomial:

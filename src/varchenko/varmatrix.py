@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import reduce
+from math import comb
 from operator import or_
 from typing import NamedTuple
 
@@ -22,7 +23,8 @@ from .apartments import chambers_in, faces_in
 from .faces import Face, FaceComplex, centralization, closure_faces
 from .polyring import (
     Polynomial,
-    eval_mod_p,
+    assignment_values,
+    eval_values,
     format_polynomial,
     var_of_index,
     weight,
@@ -118,45 +120,91 @@ def varchenko_matrix(chambers) -> VMatrix:
 # -- determinants -----------------------------------------------------------
 
 
-def det_symbolic(matrix: VMatrix) -> Polynomial:
-    """Exact determinant over Z[h]: row-by-row cofactor expansion memoized
-    on column subsets.
+class Packing(NamedTuple):
+    """Monomials packed into ints, `width` bits per variable: the exponent
+    of variable i sits at bit i * width. While no exponent reaches
+    2**width, fields never carry, so multiplying two monomials is one int
+    addition and two packed polynomials are equal exactly when the
+    polynomials are."""
 
-    Level r holds the minors of the first r rows on every r-subset of
-    columns, keyed by column bitmask. Adding row r to the subset T at
-    column j contributes sign (-1)^(r + index of j in T). A minor is only
-    ever multiplied by an original entry, which keeps intermediate growth
-    far below fraction-free elimination on these matrices.
+    nvars: int
+    width: int
 
-    Monomials are packed into ints, w bits per variable. No exponent of a
-    partial minor exceeds the sum over rows of the row's largest exponent
-    of that variable, and w is wide enough for the largest such bound, so
-    fields never carry and multiplying two monomials is one int addition.
-    """
-    entries = matrix.entries
-    nvars = matrix.nvars
-    n = len(entries)
-    bounds = [0] * nvars
-    for row in entries:
-        monos = [mono for entry in row for mono in entry.terms]
-        if monos:
-            bounds = [b + max(col) for b, col in zip(bounds, zip(*monos))]
-    width = max(1, max(bounds, default=0).bit_length())
-    shifts = [i * width for i in range(nvars)]
-    packed = [
-        [
-            [
-                (sum(e << s for e, s in zip(mono, shifts)), coef)
-                for mono, coef in entry.terms.items()
-            ]
-            for entry in row
+    @classmethod
+    def covering(cls, nvars: int, *bounds) -> "Packing":
+        """The narrowest packing that holds every per-variable bound given."""
+        top = max((b for bound in bounds for b in bound), default=0)
+        return cls(nvars, max(1, top.bit_length()))
+
+    def pack(self, poly: Polynomial):
+        """[(key, coefficient)] of the polynomial's terms."""
+        w = self.width
+        return [
+            (sum(e << i * w for i, e in enumerate(mono) if e), coef)
+            for mono, coef in poly.terms.items()
         ]
-        for row in entries
+
+    def polynomial(self, packed) -> Polynomial:
+        """The Polynomial of a {key: coefficient} dict."""
+        field = (1 << self.width) - 1
+        shifts = range(0, self.nvars * self.width, self.width)
+        return Polynomial(
+            self.nvars,
+            {
+                tuple(key >> s & field for s in shifts): coef
+                for key, coef in packed.items()
+            },
+        )
+
+
+def _row_maxima(matrix: VMatrix):
+    """Per row, the largest exponent of each variable in the row."""
+    zeros = [0] * matrix.nvars
+    return [
+        [max(col) for col in zip(zeros, *(m for e in row for m in e.terms))]
+        for row in matrix.entries
+    ]
+
+
+def shared_packing(matrix: VMatrix, factored=None) -> Packing:
+    """The packing that covers every minor of `matrix` and, when given, the
+    expansion of the `FactoredDet`; in it the two compare equal exactly
+    when the polynomials do. No minor has a larger exponent of a variable
+    than the sum over rows of the row's largest exponent of it."""
+    maxima = _row_maxima(matrix)
+    bounds = [[sum(col) for col in zip([0] * matrix.nvars, *maxima)]]
+    if factored is not None:
+        bounds.append(factored.bounds())
+    return Packing.covering(matrix.nvars, *bounds)
+
+
+def support_order(matrix: VMatrix):
+    """Row order for the minor expansion: split the rows on whether
+    variable k occurs in the row, for k = 0, 1, ..., the larger group
+    first (the group holding k on a tie), each group keeping its order."""
+    maxima = _row_maxima(matrix)
+    groups = [list(range(matrix.size))]
+    for k in range(matrix.nvars):
+        split = []
+        for group in groups:
+            has = [r for r in group if maxima[r][k]]
+            lacks = [r for r in group if not maxima[r][k]]
+            split += [g for g in sorted((has, lacks), key=len, reverse=True) if g]
+        groups = split
+    return [r for group in groups for r in group]
+
+
+def det_packed(matrix: VMatrix, packing: Packing):
+    """The determinant as a {key: coefficient} dict in `packing`, which must
+    cover the `shared_packing` of the matrix; see `det_symbolic`."""
+    order = support_order(matrix)
+    packed = [
+        [packing.pack(matrix.entries[r][c]) for c in order] for r in order
     ]
 
     level = {0: {0: 1}}
-    for r in range(n):
-        row = [(1 << j, terms) for j, terms in enumerate(packed[r]) if terms]
+    for r, row_terms in enumerate(packed):
+        row = [(1 << j, terms) for j, terms in enumerate(row_terms) if terms]
         nxt: dict = {}
         for mask, minor in level.items():
             items = minor.items()
@@ -185,15 +233,34 @@ def det_symbolic(matrix: VMatrix) -> Polynomial:
             kept = {key: coef for key, coef in acc.items() if coef}
             if kept:
                 level[mask] = kept
+    return level.get((1 << len(packed)) - 1, {})
 
-    field = (1 << width) - 1
-    return Polynomial(
-        nvars,
-        {
-            tuple((key >> s) & field for s in shifts): coef
-            for key, coef in level.get((1 << n) - 1, {}).items()
-        },
-    )
+
+def det_symbolic(matrix: VMatrix) -> Polynomial:
+    """Exact determinant over Z[h]: row-by-row cofactor expansion memoized
+    on column subsets.
+
+    Level r holds the minors of the first r rows on every r-subset of
+    columns, keyed by column bitmask. Adding row r to the subset T at
+    column j contributes sign (-1)^(r + index of j in T). A minor is only
+    ever multiplied by an original entry, which keeps intermediate growth
+    far below fraction-free elimination on these matrices.
+
+    The expansion runs on P V P^T for the permutation P of
+    `support_order`, which has the same determinant. Its cost is the
+    number of terms of the minors, and the order keeps that small: when
+    every row of a prefix lies on one side of H_h, the exponents of h in a
+    minor on that prefix are fixed by its columns, so the minor has fewer
+    terms. On a Varchenko matrix, variable h^+ occurs in the row of C
+    exactly when C lies in H_h^- and some chamber of the matrix in H_h^+,
+    so the order sorts chambers lexicographically by side, within each
+    group the larger side of the next hyperplane first.
+
+    Monomials are packed into ints by `shared_packing`, so fields never
+    carry and multiplying two monomials is one int addition.
+    """
+    packing = shared_packing(matrix)
+    return packing.polynomial(det_packed(matrix, packing))
 
 
 class ModularTrial(NamedTuple):
@@ -220,8 +287,9 @@ def assignment_digest(assignment, prime: int) -> str:
 
 def det_at(matrix: VMatrix, assignment, prime: int) -> int:
     """Determinant of the matrix evaluated at one assignment, mod prime."""
+    values = assignment_values(assignment, matrix.nvars, prime)
     numeric = [
-        [eval_mod_p(entry, assignment, prime) for entry in row]
+        [eval_values(entry, values, prime) for entry in row]
         for row in matrix.entries
     ]
     return _det_mod(numeric, prime)
@@ -332,7 +400,8 @@ def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
 
 
 class FactoredDet:
-    """The product prod (1 - b_F)^{beta_F} in factored form."""
+    """The product prod (1 - b_F)^{beta_F} in factored form, each weight
+    b_F a monomial."""
 
     __slots__ = ("nvars", "factors")
 
@@ -341,18 +410,50 @@ class FactoredDet:
         self.nvars = nvars
         self.factors = list(factors)
 
-    def expand(self) -> Polynomial:
-        result = Polynomial.one(self.nvars)
+    def bounds(self):
+        """Per variable, the sum over factors of exponent times the
+        weight's exponent. This is the exponent vector of the product's
+        top term, so no term exceeds it and its sum is the degree."""
+        bounds = [0] * self.nvars
+        for _, b_f, exponent in self.factors:
+            (mono,) = b_f.terms
+            bounds = [b + exponent * e for b, e in zip(bounds, mono)]
+        return bounds
+
+    def packed(self, packing: Packing):
+        """The expanded product as a {key: coefficient} dict in `packing`,
+        which must cover `bounds()`. Factors with one weight are merged,
+        and (1 - c x)^k expands as sum_j C(k, j) (-c)^j x^j."""
+        totals: dict = {}
         for _, b_f, exponent in self.factors:
             if exponent:
-                result = result * (Polynomial.one(self.nvars) - b_f) ** exponent
+                (term,) = packing.pack(b_f)
+                totals[term] = totals.get(term, 0) + exponent
+        result = {0: 1}
+        for (key, coef), exponent in totals.items():
+            powers = [
+                (j * key, comb(exponent, j) * (-coef) ** j)
+                for j in range(exponent + 1)
+            ]
+            nxt: dict = {}
+            get = nxt.get
+            for r_key, r_coef in result.items():
+                for p_key, p_coef in powers:
+                    p_key += r_key
+                    nxt[p_key] = get(p_key, 0) + r_coef * p_coef
+            result = {k: c for k, c in nxt.items() if c}
         return result
 
+    def expand(self) -> Polynomial:
+        packing = Packing.covering(self.nvars, self.bounds())
+        return packing.polynomial(self.packed(packing))
+
     def eval_mod(self, assignment, prime: int) -> int:
+        values = assignment_values(assignment, self.nvars, prime)
         value = 1
         for _, b_f, exponent in self.factors:
             if exponent:
-                base = (1 - eval_mod_p(b_f, assignment, prime)) % prime
+                base = (1 - eval_values(b_f, values, prime)) % prime
                 value = value * pow(base, exponent, prime) % prime
         return value
 
@@ -412,14 +513,18 @@ def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, tri
 
     `mode` "auto" takes the symbolic route up to DEFAULT_SYMBOLIC_THRESHOLD
     chambers and the modular one beyond. Returns (mode, outcome): for
-    "symbolic" the outcome is (determinant, expanded product); for
+    "symbolic" the outcome is (packing, determinant, expanded product),
+    both {key: coefficient} dicts in the `shared_packing` of the two; for
     "modular" it is one (ModularTrial, product value) pair per trial, both
     taken at the trial's assignment mod DEFAULT_PRIME.
     """
     if mode == "auto":
         mode = "symbolic" if matrix.size <= DEFAULT_SYMBOLIC_THRESHOLD else "modular"
     if mode == "symbolic":
-        return mode, (det_symbolic(matrix), factored.expand())
+        packing = shared_packing(matrix, factored)
+        return mode, (
+            packing, det_packed(matrix, packing), factored.packed(packing)
+        )
     return mode, [
         (
             t,
@@ -456,11 +561,11 @@ def verify_factorization(
     )
     details["mode"] = mode
     if mode == "symbolic":
-        determinant, expected = outcome
+        packing, determinant, expected = outcome
         if determinant == expected:
             return CheckResult("factorization", PASS, ctx, details)
-        details["determinant"] = format_polynomial(determinant)
-        details["expected"] = format_polynomial(expected)
+        details["determinant"] = format_polynomial(packing.polynomial(determinant))
+        details["expected"] = format_polynomial(packing.polynomial(expected))
         return CheckResult("factorization", FAIL, ctx, details)
 
     details["seed"] = str(seed)

@@ -306,6 +306,31 @@ def test_detfile_degree_mismatch_fails_without_expanding(data_dir, capsys):
     assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
+@pytest.mark.parametrize(
+    "expected",
+    # the matrix's exponent bounds are at most 4, in 3-bit fields; the
+    # first product has the determinant's degree 14, the second is
+    # (1 - h2^+ h2^-)^(2**3)
+    ["(1 - h3^+ h3^-)^7", "(1 - h2^+ h2^-)^8"],
+)
+def test_detfile_product_beyond_matrix_bounds_is_unequal(data_dir, capsys, expected):
+    argv = ["detfile", str(data_dir / "two_pairs_apartment.vmx"), "--json"]
+    assert main([*argv, "--expected", expected]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is False
+
+
+def test_detfile_huge_hyperplane_count_exits_2(data_dir, tmp_path, capsys):
+    huge = tmp_path / "huge.vmx"
+    huge.write_text("vmatrix 2 99999999999\n1\nh1^+\nh1^-\n1\n")
+    assert main(["detfile", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and "hyperplanes" in err
+    none = tmp_path / "none.vmx"
+    none.write_text("vmatrix 1 0\n1\n")
+    for path in (none, data_dir / "one.vmx", data_dir / "two_pairs_apartment.vmx"):
+        assert main(["detfile", str(path)]) == 0
+
+
 def test_detfile_malformed_exits_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.vmx"
     bad.write_text("vmatrix 2 1\n1\n1 * h1^+\n")

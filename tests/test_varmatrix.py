@@ -1,7 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varchenko.apartments import chambers_in, faces_in, find_apartment
+from varchenko import varmatrix
+from varchenko.apartments import (
+    chambers_in,
+    enumerate_apartments,
+    faces_in,
+    find_apartment,
+)
 from varchenko.faces import enumerate_faces, half_mask
 from varchenko.files import parse_arrangement
 from varchenko.files import bundled_text, parse_matrix
@@ -17,6 +25,7 @@ from varchenko.polyring import (
 from varchenko.tits import tits_product
 from varchenko.varmatrix import (
     DEFAULT_PRIME,
+    FactoredDet,
     beta_independence,
     det_at,
     det_modular,
@@ -25,6 +34,8 @@ from varchenko.varmatrix import (
     modular_assignment,
     multiplicity,
     product_formula,
+    shared_packing,
+    support_order,
     v,
     v_path_identity_check,
     varchenko_matrix,
@@ -36,6 +47,7 @@ from oracles import (
     det_by_permutations,
     m_vector,
     mad_recurrence_violations,
+    permutation_sign,
     touching_hyperplanes,
     v_path_violations,
     zero_substitution,
@@ -205,6 +217,78 @@ def test_det_symbolic_matches_leibniz_oracle(matrix):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_det_symbolic_under_row_and_column_permutations(data):
+    matrix = data.draw(polynomial_matrices())
+    perm = data.draw(st.permutations(range(matrix.size)))
+    rows = [matrix.entries[i] for i in perm]
+    both = [[row[j] for j in perm] for row in rows]
+    det = det_symbolic(matrix)
+    assert det_symbolic(VMatrix(perm, both, matrix.nvars)) == det
+    assert det_symbolic(VMatrix(perm, rows, matrix.nvars)) == det.scale(
+        permutation_sign(perm)
+    )
+
+
+def test_support_order_sorts_chambers_by_side(crossing):
+    # h1^+ occurs in the rows of the chambers in H1^-, which come first on
+    # the tie; within each, the chambers in H2^- come first.
+    chambers = crossing.chambers()
+    order = support_order(varchenko_matrix(chambers))
+    assert [chambers[r].signs for r in order] == [
+        (MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS)
+    ]
+
+
+def apartment_chambers(complex_):
+    """The chamber list of every apartment over every hyperplane subset."""
+    m = complex_.arrangement.size
+    for mask in range(1 << m):
+        subset = [h for h in range(m) if mask >> h & 1]
+        for apartment in enumerate_apartments(complex_, subset):
+            yield chambers_in(complex_, apartment)
+
+
+def test_det_symbolic_ignores_chamber_order(complexes):
+    rng = random.Random(8)
+    for complex_ in complexes.values():
+        for chambers in apartment_chambers(complex_):
+            shuffled = rng.sample(chambers, len(chambers))
+            assert det_symbolic(varchenko_matrix(shuffled)) == det_symbolic(
+                varchenko_matrix(chambers)
+            )
+
+
+def cyclic_complex(m):
+    """The m lines x + t y = t^2, t = -3, ..., m - 4, in general position."""
+    text = "dim 2\n" + "".join(f"1 {t} {t * t}\n" for t in range(-3, m - 3))
+    return enumerate_faces(parse_arrangement(text))
+
+
+def test_det_symbolic_14_chamber_apartment_matches_det_at():
+    complex_ = cyclic_complex(7)
+    apartment = find_apartment(complex_, (2,), (MINUS,))
+    matrix = varchenko_matrix(chambers_in(complex_, apartment))
+    assert matrix.size == 14
+    det = det_symbolic(matrix)
+    for trial in range(3):
+        assignment = modular_assignment(matrix.nvars, 14, trial, DEFAULT_PRIME)
+        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at(
+            matrix, assignment, DEFAULT_PRIME
+        )
+
+
+def test_symbolic_determinants_lie_in_z_of_y(complexes):
+    # Every Leibniz term is a product over closed walks, which cross each
+    # hyperplane as often one way as the other, so every term of the
+    # determinant has equal exponents of h_i^+ and h_i^-.
+    for complex_ in [*complexes.values(), cyclic_complex(5)]:
+        for chambers in apartment_chambers(complex_):
+            for mono in det_symbolic(varchenko_matrix(chambers)).terms:
+                assert mono[0::2] == mono[1::2], ([c.id for c in chambers], mono)
+
+
 def test_det_symbolic_exponent_bound_fills_packed_field():
     # x appears once per row, so its exponent bound is 3 = 2**2 - 1 and a
     # field two bits wide must hold x^3 exactly; a narrower field would
@@ -236,10 +320,9 @@ def test_det_symbolic_without_variables():
 
 
 def test_det_symbolic_12_chamber_apartment_matches_modular():
-    # cyclic lines x + t y = -t^2, t = -3..2; the apartment H2^- holds 12
-    # chambers, the largest size the symbolic route serves.
-    text = "dim 2\n" + "".join(f"1 {t} {t * t}\n" for t in range(-3, 3))
-    complex_ = enumerate_faces(parse_arrangement(text))
+    # the apartment H2^- of cyclic_complex(6) holds 12 chambers, the
+    # largest size the symbolic route serves in "auto" mode.
+    complex_ = cyclic_complex(6)
     apartment = find_apartment(complex_, (1,), (MINUS,))
     matrix = varchenko_matrix(chambers_in(complex_, apartment))
     assert matrix.size == 12
@@ -334,6 +417,35 @@ def test_verify_factorization_passes(r1, crossing, two_pairs):
     assert result.details["mode"] == "symbolic"
     assert result.details["factored"] == (
         "(1 - 1 * h2^+ h2^-)^2 (1 - 1 * h3^+ h3^-)^2 (1 - 1 * h4^+ h4^-)^3"
+    )
+
+
+@pytest.mark.parametrize(
+    "powers, exponent",
+    [
+        # (1 - h1^+ h1^-)^(2**w): its exponents reach 2**w, one past what
+        # the matrix's width w holds
+        ({VarId(0, PLUS): 1, VarId(0, MINUS): 1}, 2),
+        # h1^+^3 packs to the key of h1^+ h1^- in one-bit fields, so a
+        # width from the matrix alone would call this product equal
+        ({VarId(0, PLUS): 3}, 1),
+    ],
+    ids=["square-of-weight", "carry-onto-weight"],
+)
+def test_factorization_packs_both_sides_in_one_width(r1, monkeypatch, powers, exponent):
+    matrix = varchenko_matrix(r1.chambers())
+    assert shared_packing(matrix).width == 1
+    b = Polynomial.monomial(matrix.nvars, powers)
+    factored = FactoredDet(matrix.nvars, [(None, b, exponent)])
+    assert max(factored.bounds()) > 1
+    monkeypatch.setattr(
+        varmatrix, "product_formula", lambda complex_, faces, betas: factored
+    )
+    result = verify_factorization(r1)
+    assert result.status == "fail" and result.details["mode"] == "symbolic"
+    assert result.details["determinant"] == "1 - 1 * h1^+ h1^-"
+    assert result.details["expected"] == format_polynomial(
+        (Polynomial.one(matrix.nvars) - b) ** exponent
     )
 
 
