@@ -1,0 +1,78 @@
+"""Golden outputs: the sha256 of the stdout and the exit code of fixed CLI
+runs on the bundled files, run in process through `cli.main`. A change that
+must not alter any output shows here that it does not.
+
+After an intended output change, rewrite the digests with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from varchenko.cli import main
+from varchenko.files import bundled_text
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+ARRANGEMENTS = ("r1", "crossing", "generic3", "parallel2", "two_pairs", "r3")
+PAPER_PRODUCT = "(1 - h2^+ h2^-)^2 (1 - h3^+ h3^-)^2 (1 - h4^+ h4^-)^3"
+
+
+def commands():
+    """Each command line, its input file name second, as in the golden file."""
+    for name in ARRANGEMENTS:
+        path = f"{name}.arr"
+        yield f"faces {path} --json"
+        yield f"verify {path} --all --json"
+        yield f"verify {path} --checks beta,factorization --all-apartments --json"
+        yield f"varchenko {path} --json"
+        yield f"varchenko {path} --mode modular --seed 4 --json"
+    yield "detfile two_pairs_apartment.vmx --json"
+    yield shlex.join(
+        ["detfile", "two_pairs_apartment.vmx", "--json", "--expected", PAPER_PRODUCT]
+    )
+
+
+def run(command, directory: Path):
+    """{"sha256": digest of stdout, "exit": exit code} of one command."""
+    argv = shlex.split(command)
+    path = directory / argv[1]
+    if not path.exists():
+        path.write_text(bundled_text(argv[1]))
+    argv[1] = str(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_lists_every_command(golden):
+    assert sorted(golden) == sorted(commands())
+
+
+@pytest.mark.parametrize("command", list(commands()))
+def test_output_matches_golden_digest(golden, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("VARCHENKO_SEED", raising=False)
+    assert run(command, tmp_path) == golden[command]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import tempfile
+
+    os.environ.pop("VARCHENKO_SEED", None)
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = {c: run(c, Path(scratch)) for c in commands()}
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
