@@ -243,7 +243,7 @@ def cmd_varchenko(args) -> int:
         "arrangement": arrangement_digest(arrangement),
         "apartment": where,
         "chambers": [c.id for c in chambers],
-        "matrix": [[format_polynomial(e) for e in row] for row in matrix.entries],
+        "matrix": matrix.entry_texts(),
         "factored": factored.text(),
         "mode": mode,
     }

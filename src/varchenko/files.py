@@ -1,15 +1,17 @@
 """Arrangement and matrix file formats, with bit-exact serializers.
 
 Arrangement file: `#` starts a comment (full line or trailing). The first
-payload line is `dim n`; every further payload line holds n+1 rationals
-``a1 ... an b`` (integers or p/q) describing the hyperplane a.x = b, with
-H+ the side where a.x > b.
+payload line is `dim n`, n at most MAX_DIMENSION; every further payload
+line holds n+1 rationals ``a1 ... an b`` (integers, decimals or p/q, no
+exponent notation) describing the hyperplane a.x = b, with H+ the side
+where a.x > b.
 
 Matrix file: header ``vmatrix <size> <num_hyperplanes>``, then size^2
 polynomial entries in row-major order, one per line, in the canonical text
-form of the polynomial module. Every term stores one exponent per ring
-variable, two per declared hyperplane, so the header may declare at most
-MAX_HYPERPLANES hyperplanes.
+form of the polynomial module, each a square-free monomial with
+coefficient 1, kept as its variable mask. A parsed term holds one exponent
+per ring variable, two per declared hyperplane, so the header may declare
+at most MAX_HYPERPLANES hyperplanes.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from fractions import Fraction
 from importlib.resources import files as _resource_files
 
 from .geometry import Hyperplane, Arrangement
-from .polyring import format_polynomial, parse_polynomial
+from .polyring import parse_polynomial
 from .varmatrix import VMatrix
 
 MAX_HYPERPLANES = 10_000
+MAX_DIMENSION = 10_000
 
 
 def bundled_text(name: str) -> str:
@@ -47,6 +50,9 @@ def _payload_lines(text):
 
 def _parse_rational(token, line_number) -> Fraction:
     try:
+        if "e" in token.lower():
+            # exponent notation: Fraction would expand 1e400000000 digit by digit
+            raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line_number, f"invalid rational {token!r}") from None
@@ -63,6 +69,10 @@ def parse_arrangement(text: str) -> Arrangement:
     n = int(parts[1])
     if n < 1:
         raise ParseError(header_no, "dimension must be positive")
+    if n > MAX_DIMENSION:
+        raise ParseError(
+            header_no, f"dimension {n} above the supported {MAX_DIMENSION}"
+        )
 
     hyperplanes = []
     seen = {}
@@ -134,27 +144,38 @@ def parse_matrix(text: str) -> VMatrix:
             f"expected {size * size} entries, found {len(body)}",
         )
     nvars = 2 * num_hyperplanes
-    entries = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            number, chunk = body[r * size + c]
-            try:
-                row.append(parse_polynomial(chunk, nvars))
-            except ValueError as exc:
-                raise ParseError(number, str(exc)) from None
-        entries.append(row)
-    matrix = VMatrix(list(range(size)), entries, nvars)
+    polys = []
+    for number, chunk in body:
+        try:
+            polys.append(parse_polynomial(chunk, nvars))
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from None
     try:
+        entries = [
+            [_entry_mask(polys[r * size + c], r, c) for c in range(size)]
+            for r in range(size)
+        ]
+        matrix = VMatrix(list(range(size)), entries, nvars)
         matrix.validate()
     except ValueError as exc:
         raise ParseError(header_no, f"not a distance matrix: {exc}") from None
     return matrix
 
 
+def _entry_mask(poly, r, c) -> int:
+    """The variable mask of entry (r, c), which must be 1 on the diagonal
+    and a square-free monomial with coefficient 1 everywhere."""
+    if r == c and not poly.is_one():
+        raise ValueError(f"diagonal entry ({r},{r}) is not 1")
+    if len(poly.terms) != 1:
+        raise ValueError(f"off-diagonal entry ({r},{c}) is not a monomial")
+    ((mono, coef),) = poly.terms.items()
+    if coef != 1 or any(e > 1 for e in mono):
+        raise ValueError(f"entry ({r},{c}) must be square-free with coefficient 1")
+    return sum(1 << i for i, e in enumerate(mono) if e)
+
+
 def serialize_matrix(matrix: VMatrix, num_hyperplanes: int) -> str:
     lines = [f"vmatrix {matrix.size} {num_hyperplanes}"]
-    for row in matrix.entries:
-        for entry in row:
-            lines.append(format_polynomial(entry))
+    lines += [text for row in matrix.entry_texts() for text in row]
     return "\n".join(lines) + "\n"

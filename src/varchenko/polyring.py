@@ -99,9 +99,6 @@ class Polynomial:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 

@@ -5,9 +5,10 @@ Matrix convention: entry at (row C, column D) is v(D, C), the monomial of
 the half-spaces containing D but not C. Rows and columns always use the
 same chamber order, so the determinant does not depend on that order.
 
-Distances between chambers are square-free monomials with coefficient 1,
-so the identity checks compare half-space masks (`Face.half`) and never
-build a Polynomial.
+A distance is a square-free monomial with coefficient 1, so `v` and every
+matrix entry are the half-space mask (`Face.half` bits) of that monomial.
+The identity checks compare masks, the determinant spreads each mask into
+a packed key, and an entry becomes a Polynomial only to be written as text.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import reduce
-from math import comb
+from math import comb, prod
 from operator import or_
 from typing import NamedTuple
 
@@ -37,10 +38,10 @@ DEFAULT_PRIME = 2**61 - 1
 DEFAULT_SYMBOLIC_THRESHOLD = 12
 
 
-def v(c: Face, d: Face) -> Polynomial:
-    """Aguiar-Mahajan distance of chambers: the product of the variables of
-    the open half-spaces containing c but not d, the mask c.half & ~d.half
-    (1 on the diagonal).
+def v(c: Face, d: Face) -> int:
+    """Aguiar-Mahajan distance of chambers: the mask c.half & ~d.half of
+    the open half-spaces containing c but not d, standing for the product
+    of their variables (0, the monomial 1, on the diagonal).
 
     Every distance is square-free with coefficient 1, so for chambers C, X,
     D the product v(C, X) v(X, D) equals v(C, D) exactly when the masks of
@@ -51,11 +52,13 @@ def v(c: Face, d: Face) -> Polynomial:
     for face in (c, d):
         if not face.is_chamber:
             raise ValueError(f"v requires chambers, got {face!r}")
-    return Polynomial.square_free(2 * len(c.signs), c.half & ~d.half)
+    return c.half & ~d.half
 
 
 class VMatrix:
-    """Square matrix (v(D, C))_{C row, D column} over an ordered chamber list."""
+    """Square matrix (v(D, C))_{C row, D column} over an ordered chamber
+    list. Each entry is the int mask of a square-free monomial with
+    coefficient 1, bit `VarId.index` for each of its `nvars` variables."""
 
     __slots__ = ("chamber_ids", "entries", "nvars")
 
@@ -71,40 +74,30 @@ class VMatrix:
     def validate(self):
         """Check the defining invariants; raises ValueError when violated."""
         n = self.size
-        for i in range(n):
-            if len(self.entries[i]) != n:
-                raise ValueError("matrix is not square")
-            if not self.entries[i][i].is_one():
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("matrix is not square")
+        plus = sum(1 << k for k in range(0, self.nvars, 2))
+        for i, row in enumerate(self.entries):
+            if row[i]:
                 raise ValueError(f"diagonal entry ({i},{i}) is not 1")
-            for j in range(n):
-                if i == j:
-                    continue
-                entry = self.entries[i][j]
-                if not entry.is_monomial():
-                    raise ValueError(
-                        f"off-diagonal entry ({i},{j}) is not a monomial"
-                    )
-                mono, coef = entry.leading_term()
-                if coef != 1 or any(e not in (0, 1) for e in mono):
-                    raise ValueError(
-                        f"entry ({i},{j}) must be square-free with "
-                        "coefficient 1"
-                    )
-                if any(mono[k] and mono[k + 1] for k in range(0, len(mono), 2)):
+            for j, mask in enumerate(row):
+                if mask & mask >> 1 & plus:
                     raise ValueError(
                         f"entry ({i},{j}) holds both half-space variables "
                         "of one hyperplane"
                     )
-                opposite, _ = self.entries[j][i].leading_term()
-                flipped = tuple(
-                    mono[k + 1] if k % 2 == 0 else mono[k - 1]
-                    for k in range(len(mono))
-                )
-                if opposite != flipped:
+                if self.entries[j][i] != (mask & plus) << 1 | (mask >> 1 & plus):
                     raise ValueError(
                         f"entries ({i},{j}) and ({j},{i}) do not use "
                         "opposite half-space variables"
                     )
+
+    def entry_texts(self):
+        """The entries in the canonical polynomial text form, row by row."""
+        return [
+            [format_polynomial(Polynomial.square_free(self.nvars, e)) for e in row]
+            for row in self.entries
+        ]
 
 
 def varchenko_matrix(chambers) -> VMatrix:
@@ -136,6 +129,11 @@ class Packing(NamedTuple):
         top = max((b for bound in bounds for b in bound), default=0)
         return cls(nvars, max(1, top.bit_length()))
 
+    def spread(self, mask: int) -> int:
+        """The key of the square-free monomial of a variable mask."""
+        w = self.width
+        return sum(1 << i * w for i in range(self.nvars) if mask >> i & 1)
+
     def pack(self, poly: Polynomial):
         """[(key, coefficient)] of the polynomial's terms."""
         w = self.width
@@ -157,22 +155,18 @@ class Packing(NamedTuple):
         )
 
 
-def _row_maxima(matrix: VMatrix):
-    """Per row, the largest exponent of each variable in the row."""
-    zeros = [0] * matrix.nvars
-    return [
-        [max(col) for col in zip(zeros, *(m for e in row for m in e.terms))]
-        for row in matrix.entries
-    ]
+def _row_supports(matrix: VMatrix):
+    """Per row, the mask of the variables that occur in the row."""
+    return [reduce(or_, row) for row in matrix.entries]
 
 
 def shared_packing(matrix: VMatrix, factored=None) -> Packing:
     """The packing that covers every minor of `matrix` and, when given, the
     expansion of the `FactoredDet`; in it the two compare equal exactly
     when the polynomials do. No minor has a larger exponent of a variable
-    than the sum over rows of the row's largest exponent of it."""
-    maxima = _row_maxima(matrix)
-    bounds = [[sum(col) for col in zip([0] * matrix.nvars, *maxima)]]
+    than the number of rows the variable occurs in."""
+    supports = _row_supports(matrix)
+    bounds = [[sum(s >> k & 1 for s in supports) for k in range(matrix.nvars)]]
     if factored is not None:
         bounds.append(factored.bounds())
     return Packing.covering(matrix.nvars, *bounds)
@@ -182,13 +176,13 @@ def support_order(matrix: VMatrix):
     """Row order for the minor expansion: split the rows on whether
     variable k occurs in the row, for k = 0, 1, ..., the larger group
     first (the group holding k on a tie), each group keeping its order."""
-    maxima = _row_maxima(matrix)
+    supports = _row_supports(matrix)
     groups = [list(range(matrix.size))]
     for k in range(matrix.nvars):
         split = []
         for group in groups:
-            has = [r for r in group if maxima[r][k]]
-            lacks = [r for r in group if not maxima[r][k]]
+            has = [r for r in group if supports[r] >> k & 1]
+            lacks = [r for r in group if not supports[r] >> k & 1]
             split += [g for g in sorted((has, lacks), key=len, reverse=True) if g]
         groups = split
     return [r for group in groups for r in group]
@@ -198,42 +192,35 @@ def det_packed(matrix: VMatrix, packing: Packing):
     """The determinant as a {key: coefficient} dict in `packing`, which must
     cover the `shared_packing` of the matrix; see `det_symbolic`."""
     order = support_order(matrix)
-    packed = [
-        [packing.pack(matrix.entries[r][c]) for c in order] for r in order
+    keys = [
+        [packing.spread(matrix.entries[r][c]) for c in order] for r in order
     ]
 
     level = {0: {0: 1}}
-    for r, row_terms in enumerate(packed):
-        row = [(1 << j, terms) for j, terms in enumerate(row_terms) if terms]
+    for r, row in enumerate(keys):
         nxt: dict = {}
         for mask, minor in level.items():
             items = minor.items()
-            for bit, terms in row:
+            for j, e_key in enumerate(row):
+                bit = 1 << j
                 if mask & bit:
                     continue
-                sign = -1 if (r + (mask & (bit - 1)).bit_count()) % 2 else 1
                 acc = nxt.setdefault(mask | bit, {})
                 get = acc.get
-                for e_key, e_coef in terms:
-                    coef = e_coef * sign
-                    if coef == 1:
-                        for key, m_coef in items:
-                            key += e_key
-                            acc[key] = get(key, 0) + m_coef
-                    elif coef == -1:
-                        for key, m_coef in items:
-                            key += e_key
-                            acc[key] = get(key, 0) - m_coef
-                    else:
-                        for key, m_coef in items:
-                            key += e_key
-                            acc[key] = get(key, 0) + coef * m_coef
+                if (r + (mask & (bit - 1)).bit_count()) % 2:
+                    for key, coef in items:
+                        key += e_key
+                        acc[key] = get(key, 0) - coef
+                else:
+                    for key, coef in items:
+                        key += e_key
+                        acc[key] = get(key, 0) + coef
         level = {}
         for mask, acc in nxt.items():
             kept = {key: coef for key, coef in acc.items() if coef}
             if kept:
                 level[mask] = kept
-    return level.get((1 << len(packed)) - 1, {})
+    return level.get((1 << len(keys)) - 1, {})
 
 
 def det_symbolic(matrix: VMatrix) -> Polynomial:
@@ -288,11 +275,11 @@ def assignment_digest(assignment, prime: int) -> str:
 def det_at(matrix: VMatrix, assignment, prime: int) -> int:
     """Determinant of the matrix evaluated at one assignment, mod prime."""
     values = assignment_values(assignment, matrix.nvars, prime)
-    numeric = [
-        [eval_values(entry, values, prime) for entry in row]
-        for row in matrix.entries
-    ]
-    return _det_mod(numeric, prime)
+
+    def value(mask):
+        return prod(values[i] for i in range(matrix.nvars) if mask >> i & 1) % prime
+
+    return _det_mod([[value(e) for e in row] for row in matrix.entries], prime)
 
 
 def det_modular(matrix: VMatrix, seed=0, trials: int = 10):
@@ -422,15 +409,11 @@ class FactoredDet:
 
     def packed(self, packing: Packing):
         """The expanded product as a {key: coefficient} dict in `packing`,
-        which must cover `bounds()`. Factors with one weight are merged,
+        which must cover `bounds()`. It runs over the `grouped()` factors,
         and (1 - c x)^k expands as sum_j C(k, j) (-c)^j x^j."""
-        totals: dict = {}
-        for _, b_f, exponent in self.factors:
-            if exponent:
-                (term,) = packing.pack(b_f)
-                totals[term] = totals.get(term, 0) + exponent
         result = {0: 1}
-        for (key, coef), exponent in totals.items():
+        for b_f, exponent in self.grouped():
+            ((key, coef),) = packing.pack(b_f)
             powers = [
                 (j * key, comb(exponent, j) * (-coef) ** j)
                 for j in range(exponent + 1)

@@ -29,8 +29,13 @@ def permutation_sign(perm) -> int:
     return sign
 
 
-def det_by_permutations(entries, nvars) -> Polynomial:
-    """Leibniz-formula determinant; usable up to about 6x6."""
+def det_by_permutations(matrix) -> Polynomial:
+    """Leibniz-formula determinant of a `VMatrix`, its mask entries turned
+    into polynomials by `Polynomial.square_free`; usable up to about 6x6."""
+    nvars = matrix.nvars
+    entries = [
+        [Polynomial.square_free(nvars, e) for e in row] for row in matrix.entries
+    ]
     n = len(entries)
     total = Polynomial.zero(nvars)
     for perm in itertools.permutations(range(n)):

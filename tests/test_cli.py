@@ -331,6 +331,18 @@ def test_detfile_huge_hyperplane_count_exits_2(data_dir, tmp_path, capsys):
         assert main(["detfile", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("dim 999999999\n", 1), ("dim 2\n1 0 1e400000000\n", 2)],
+    ids=["huge-dimension", "exponent-notation"],
+)
+def test_arrangement_that_would_not_finish_exits_2(tmp_path, capsys, text, line):
+    path = tmp_path / "slow.arr"
+    path.write_text(text)
+    assert main(["faces", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
 def test_detfile_malformed_exits_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.vmx"
     bad.write_text("vmatrix 2 1\n1\n1 * h1^+\n")

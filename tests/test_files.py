@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from varchenko.files import (
+    MAX_DIMENSION,
     ParseError,
     arrangement_digest,
     bundled_text,
@@ -29,9 +32,11 @@ def test_parse_rationals_and_comments():
         "1/2 -3 1   # trailing comment\n"
         "\n"
         "0 2/7 -4/5\n"
+        "0.5 -1.25 .5\n"
     )
-    assert arrangement.size == 2
+    assert arrangement.size == 3
     assert str(arrangement.hyperplanes[0].normal[0]) == "1/2"
+    assert arrangement.hyperplanes[2].normal == (Fraction(1, 2), Fraction(-5, 4))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -47,6 +52,15 @@ def test_parse_errors_carry_line_numbers():
         parse_arrangement("dim 1\n1/0 2\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_arrangement("dim 2\n0 0 1\n")
+    # Fraction would expand 1e400000000 into all of its digits first
+    for token in ("1e400000000", "1E3", "2.5e-1"):
+        with pytest.raises(ParseError, match=f"line 2: invalid rational '{token}'"):
+            parse_arrangement(f"dim 2\n1 0 {token}\n")
+    # an origin of 999999999 coordinates would take minutes to build
+    assert parse_arrangement(f"dim {MAX_DIMENSION}\n").dimension == MAX_DIMENSION
+    for n in (MAX_DIMENSION + 1, 999999999):
+        with pytest.raises(ParseError, match="line 1: dimension"):
+            parse_arrangement(f"dim {n}\n")
 
 
 def test_duplicate_hyperplane_rejected_with_line():
@@ -87,6 +101,15 @@ def test_matrix_parse_errors():
     asymmetric = "vmatrix 2 1\n1\n1 * h1^+\n1 * h1^+\n1\n"
     with pytest.raises(ParseError, match="opposite"):
         parse_matrix(asymmetric)
+    for entry, rule in (
+        ("0", "monomial"),
+        ("2 * h1^+", "square-free"),
+        ("-1 * h1^+", "square-free"),
+    ):
+        with pytest.raises(ParseError, match=rule):
+            parse_matrix(f"vmatrix 2 1\n1\n{entry}\n1 * h1^-\n1\n")
+    with pytest.raises(ParseError, match="diagonal"):
+        parse_matrix("vmatrix 2 1\n2\n1 * h1^+\n1 * h1^-\n1\n")
 
 
 def test_one_by_one_matrix():

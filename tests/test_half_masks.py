@@ -64,7 +64,8 @@ def test_mask_operations_match_sign_vector_oracles(arrangement):
     chambers = complex_.chambers()
     for d in chambers:
         for c in chambers:
-            assert v(c, d) == distance(c, d)
+            polynomial = Polynomial.square_free(2 * arrangement.size, v(c, d))
+            assert polynomial == distance(c, d)
         for a in faces:
             if leq_signs(a.signs, d.signs):
                 expected = by_signs[opposite_signs(a.signs, d.signs)]

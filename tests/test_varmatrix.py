@@ -78,9 +78,9 @@ def printed_product(nvars=8):
 
 def separator_set(c, d):
     """The (hyperplane, sign of c) pairs of the hyperplanes separating the
-    chambers c and d, read off the mask of v(c, d)."""
-    (exponents,) = v(c, d).terms
-    return {tuple(var_of_index(i)) for i, e in enumerate(exponents) if e}
+    chambers c and d, read off the mask v(c, d)."""
+    mask = v(c, d)
+    return {tuple(var_of_index(i)) for i in range(mask.bit_length()) if mask >> i & 1}
 
 
 def test_separator_set_examples(r1, crossing):
@@ -91,24 +91,21 @@ def test_separator_set_examples(r1, crossing):
         crossing.find((PLUS, PLUS)), crossing.find((MINUS, MINUS))
     ) == {(0, PLUS), (1, PLUS)}
     for d in crossing.chambers():
-        mask = half_mask(separator_set(c, d))
-        assert mask == c.half & ~d.half
-        assert v(c, d) == Polynomial.square_free(4, mask)
+        assert half_mask(separator_set(c, d)) == v(c, d) == c.half & ~d.half
     with pytest.raises(ValueError):
         separator_set(crossing.find((ZERO, PLUS)), c)
 
 
 def test_v_examples(r1, crossing):
+    # bit 2h stands for h_{h+1}^+ and bit 2h + 1 for h_{h+1}^-
     plus, minus = r1.find((PLUS,)), r1.find((MINUS,))
-    assert v(plus, plus).is_one()
-    assert format_polynomial(v(plus, minus)) == "1 * h1^+"
-    assert format_polynomial(v(minus, plus)) == "1 * h1^-"
+    assert v(plus, plus) == 0
+    assert v(plus, minus) == 0b01
+    assert v(minus, plus) == 0b10
     c = crossing.find((PLUS, PLUS))
-    assert v(c, c).is_one()
-    assert format_polynomial(v(c, crossing.find((MINUS, MINUS)))) == (
-        "1 * h1^+ h2^+"
-    )
-    assert format_polynomial(v(c, crossing.find((PLUS, MINUS)))) == "1 * h2^+"
+    assert v(c, c) == 0
+    assert v(c, crossing.find((MINUS, MINUS))) == 0b0101
+    assert v(c, crossing.find((PLUS, MINUS))) == 0b0100
     for face in (crossing.find((ZERO, PLUS)), crossing.find((ZERO, ZERO))):
         with pytest.raises(ValueError):
             v(face, c)
@@ -118,8 +115,8 @@ def test_v_examples(r1, crossing):
 
 def test_r1_matrix_and_det(r1):
     matrix = varchenko_matrix(r1.chambers())
-    texts = [[format_polynomial(e) for e in row] for row in matrix.entries]
-    assert texts == [["1", "1 * h1^-"], ["1 * h1^+", "1"]]
+    assert matrix.entries == [[0, 0b10], [0b01, 0]]
+    assert matrix.entry_texts() == [["1", "1 * h1^-"], ["1 * h1^+", "1"]]
     assert format_polynomial(det_symbolic(matrix)) == "1 - 1 * h1^+ h1^-"
 
 
@@ -134,7 +131,7 @@ def test_crossing_det_kronecker(crossing):
         for h in (0, 1)
     ]
     assert det == factors[0] ** 2 * factors[1] ** 2
-    assert det == det_by_permutations(matrix.entries, matrix.nvars)
+    assert det == det_by_permutations(matrix)
 
 
 def test_bundled_matrix_reproduced_entry_for_entry(two_pairs):
@@ -146,11 +143,22 @@ def test_bundled_matrix_reproduced_entry_for_entry(two_pairs):
     assert built.entries == parsed.entries
 
 
+def test_validate_on_masks():
+    # bits 0, 1, 2, 3 are h1^+, h1^-, h2^+, h2^-
+    VMatrix(range(2), [[0, 0b0110], [0b1001, 0]], 4).validate()
+    for entries, rule in (
+        ([[0, 0b01]], "not square"),
+        ([[0b01, 0b01], [0b10, 0]], "diagonal"),
+        ([[0, 0b0011], [0b0011, 0]], "both half-space variables"),
+        ([[0, 0b0110], [0b0110, 0]], "opposite half-space variables"),
+    ):
+        with pytest.raises(ValueError, match=rule):
+            VMatrix(range(len(entries)), entries, 4).validate()
+
+
 def test_apartment_matrix_first_row(two_pairs):
     chambers = [two_pairs.find(signs) for signs in APARTMENT_ORDER]
-    first_row = [
-        format_polynomial(v(d, chambers[0])) for d in chambers
-    ]
+    first_row = varchenko_matrix(chambers).entry_texts()[0]
     assert first_row == [
         "1",
         "1 * h2^-",
@@ -183,44 +191,34 @@ def test_det_constant_term_one(complexes):
 
 def test_det_strategies_agree(generic3, two_pairs):
     matrix = varchenko_matrix(generic3.chambers())
-    assert det_symbolic(matrix) == det_by_permutations(
-        matrix.entries, matrix.nvars
-    )
+    assert det_symbolic(matrix) == det_by_permutations(matrix)
     for subset, signs in (((0,), (MINUS,)), ((1,), (PLUS,)), ((2, 3), (PLUS, MINUS))):
         apartment = find_apartment(two_pairs, subset, signs)
         matrix = varchenko_matrix(chambers_in(two_pairs, apartment))
-        assert det_symbolic(matrix) == det_by_permutations(
-            matrix.entries, matrix.nvars
-        )
+        assert det_symbolic(matrix) == det_by_permutations(matrix)
 
 
 @st.composite
-def polynomial_matrices(draw):
-    """Square matrices of general polynomials: zero entries, several terms,
-    coefficients in [-3, 3] (zero included) and exponents up to 3."""
+def mask_matrices(draw):
+    """Square matrices of arbitrary variable masks, not only distance
+    matrices: any entry, the diagonal included, may hold any variables."""
     n = draw(st.integers(1, 5))
-    nvars = draw(st.integers(0, 4))
-    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
-    coefficients = st.integers(-3, 3)
-    terms = st.dictionaries(monomials, coefficients, max_size=3)
-    entries = [
-        [Polynomial(nvars, draw(terms)) for _ in range(n)] for _ in range(n)
-    ]
+    nvars = draw(st.integers(0, 6))
+    masks = st.integers(0, (1 << nvars) - 1)
+    entries = [[draw(masks) for _ in range(n)] for _ in range(n)]
     return VMatrix(range(n), entries, nvars)
 
 
 @settings(max_examples=150, deadline=None)
-@given(polynomial_matrices())
+@given(mask_matrices())
 def test_det_symbolic_matches_leibniz_oracle(matrix):
-    assert det_symbolic(matrix) == det_by_permutations(
-        matrix.entries, matrix.nvars
-    )
+    assert det_symbolic(matrix) == det_by_permutations(matrix)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_det_symbolic_under_row_and_column_permutations(data):
-    matrix = data.draw(polynomial_matrices())
+    matrix = data.draw(mask_matrices())
     perm = data.draw(st.permutations(range(matrix.size)))
     rows = [matrix.entries[i] for i in perm]
     both = [[row[j] for j in perm] for row in rows]
@@ -290,30 +288,31 @@ def test_symbolic_determinants_lie_in_z_of_y(complexes):
 
 
 def test_det_symbolic_exponent_bound_fills_packed_field():
-    # x appears once per row, so its exponent bound is 3 = 2**2 - 1 and a
-    # field two bits wide must hold x^3 exactly; a narrower field would
-    # carry into y's bits. The same holds for y.
-    x = Polynomial.variable(2, var_of_index(0))
-    y = Polynomial.variable(2, var_of_index(1))
-    zero = Polynomial.zero(2)
-    matrix = VMatrix(range(3), [[x, y, zero], [zero, x, y], [y, zero, x]], 2)
+    # x occurs in all 3 rows, so its exponent bound is 3 = 2**2 - 1 and a
+    # field two bits wide must hold x^3 exactly; a field as wide as one
+    # row's exponent would carry into y's bits. The same holds for y.
+    # Mask 0 is the monomial 1.
+    x, y = 0b01, 0b10
+    matrix = VMatrix(range(3), [[x, y, 0], [0, x, y], [y, 0, x]], 2)
+    assert shared_packing(matrix).width == 2
     det = det_symbolic(matrix)
-    assert det == x**3 + y**3
-    assert det == det_by_permutations(matrix.entries, matrix.nvars)
+    X = Polynomial.variable(2, var_of_index(0))
+    Y = Polynomial.variable(2, var_of_index(1))
+    one = Polynomial.one(2)
+    assert det == X**3 + Y**3 + one - (X * Y).scale(3)
+    assert det == det_by_permutations(matrix)
 
 
 def test_det_symbolic_singular_matrix():
-    x = Polynomial.variable(4, var_of_index(0))
-    y = Polynomial.variable(4, var_of_index(3))
-    one = Polynomial.one(4)
-    row = [one - x, x * y, y.scale(-2)]
-    matrix = VMatrix(range(3), [row, [x, one, y], row], 4)
+    x, y = 0b0001, 0b1000
+    row = [0, x | y, y]
+    matrix = VMatrix(range(3), [row, [x, 0, y], row], 4)
     assert det_symbolic(matrix).is_zero()
 
 
 def test_det_symbolic_without_variables():
     one = Polynomial.one(0)
-    assert det_symbolic(VMatrix([0], [[one]], 0)) == one
+    assert det_symbolic(VMatrix([0], [[0]], 0)) == one
     assert det_symbolic(parse_matrix("vmatrix 1 0\n1\n")) == one
     empty = enumerate_faces(parse_arrangement("dim 2\n"))
     assert det_symbolic(varchenko_matrix(empty.chambers())) == one
@@ -483,7 +482,7 @@ def test_m_vector_at_top_is_distance_row(crossing):
     d = crossing.find((PLUS, PLUS))
     coords = m_vector(crossing, d, d)
     for c, coord in zip(crossing.chambers(), coords):
-        assert coord == v(d, c)
+        assert coord == Polynomial.square_free(4, v(d, c))
 
 
 def test_m_vector_examples(r1, crossing):
@@ -491,7 +490,9 @@ def test_m_vector_examples(r1, crossing):
     plus = r1.find((PLUS,))
     coords = m_vector(r1, zero_face, plus)
     expected = [
-        v(plus, c) if tits_product(r1, zero_face, c) is plus else None
+        Polynomial.square_free(2, v(plus, c))
+        if tits_product(r1, zero_face, c) is plus
+        else None
         for c in r1.chambers()
     ]
     for coord, want in zip(coords, expected):
@@ -547,8 +548,8 @@ def test_zero_substitution_cuts_cross_apartment_entries(two_pairs, crossing):
         for i, c in enumerate(chambers):
             for j, d in enumerate(chambers):
                 if (c.id in inside) != (d.id in inside):
-                    entry = zero_substitution(matrix.entries[i][j], kill)
-                    assert entry.is_zero()
+                    entry = Polynomial.square_free(matrix.nvars, matrix.entries[i][j])
+                    assert zero_substitution(entry, kill).is_zero()
 
 
 def test_v_opposite_product_is_separating_weight(crossing, generic3):
@@ -565,7 +566,9 @@ def test_v_opposite_product_is_separating_weight(crossing, generic3):
                         for s in (PLUS, MINUS)
                     },
                 )
-                assert v(c, d) * v(d, c) == expected
+                there = Polynomial.square_free(nvars, v(c, d))
+                back = Polynomial.square_free(nvars, v(d, c))
+                assert there * back == expected
 
 
 def test_beta_independence_reports_values(two_pairs):
