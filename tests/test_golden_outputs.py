@@ -35,6 +35,7 @@ def commands():
         yield f"verify {path} --checks beta,factorization --all-apartments --json"
         yield f"varchenko {path} --json"
         yield f"varchenko {path} --mode modular --seed 4 --json"
+    yield "varchenko r3.arr --mode symbolic --json"
     yield "detfile two_pairs_apartment.vmx --json"
     yield shlex.join(
         ["detfile", "two_pairs_apartment.vmx", "--json", "--expected", PAPER_PRODUCT]
