@@ -58,21 +58,29 @@ def _parse_rational(token, line_number) -> Fraction:
         raise ParseError(line_number, f"invalid rational {token!r}") from None
 
 
+def _header_number(token: str, line_number, limit: int, too_large: str) -> int:
+    """The header number of a digit string, at most `limit`. Its length is
+    checked first, since int() refuses strings of over 4,300 digits."""
+    digits = token.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise ParseError(line_number, too_large)
+    return int(digits)
+
+
 def parse_arrangement(text: str) -> Arrangement:
     lines = list(_payload_lines(text))
     if not lines:
         raise ParseError(1, "missing 'dim n' header")
     header_no, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdecimal():
         raise ParseError(header_no, f"expected 'dim n', got {header!r}")
-    n = int(parts[1])
+    n = _header_number(
+        parts[1], header_no, MAX_DIMENSION,
+        f"dimension above the supported {MAX_DIMENSION}",
+    )
     if n < 1:
         raise ParseError(header_no, "dimension must be positive")
-    if n > MAX_DIMENSION:
-        raise ParseError(
-            header_no, f"dimension {n} above the supported {MAX_DIMENSION}"
-        )
 
     hyperplanes = []
     seen = {}
@@ -122,22 +130,24 @@ def parse_matrix(text: str) -> VMatrix:
     if (
         len(parts) != 3
         or parts[0] != "vmatrix"
-        or not parts[1].isdigit()
-        or not parts[2].isdigit()
+        or not parts[1].isdecimal()
+        or not parts[2].isdecimal()
     ):
         raise ParseError(
             header_no, f"expected 'vmatrix <size> <num_hyperplanes>', got {header!r}"
         )
-    size, num_hyperplanes = int(parts[1]), int(parts[2])
+    body = lines[1:]
+    # size^2 entries must follow, so no size above their count matches
+    size = _header_number(
+        parts[1], header_no, len(body),
+        f"matrix size above the {len(body)} entries found",
+    )
+    num_hyperplanes = _header_number(
+        parts[2], header_no, MAX_HYPERPLANES,
+        f"more than {MAX_HYPERPLANES} hyperplanes declared",
+    )
     if size < 1:
         raise ParseError(header_no, "matrix size must be positive")
-    if num_hyperplanes > MAX_HYPERPLANES:
-        raise ParseError(
-            header_no,
-            f"{num_hyperplanes} hyperplanes declared, at most {MAX_HYPERPLANES} "
-            "supported",
-        )
-    body = lines[1:]
     if len(body) != size * size:
         raise ParseError(
             header_no,

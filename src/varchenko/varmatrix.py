@@ -72,7 +72,9 @@ class VMatrix:
         return len(self.entries)
 
     def validate(self):
-        """Check the defining invariants; raises ValueError when violated."""
+        """Check the defining invariants, realizability included: some
+        chamber masks give every entry as a distance. Raises ValueError
+        when violated. It takes O(N^2) operations on masks of m hyperplanes."""
         n = self.size
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix is not square")
@@ -90,6 +92,18 @@ class VMatrix:
                     raise ValueError(
                         f"entries ({i},{j}) and ({j},{i}) do not use "
                         "opposite half-space variables"
+                    )
+        # Chamber c lies on the side of chamber 0 except across the
+        # hyperplanes of v(c, 0), where it lies on the side v(0, c) names.
+        first = self.entries[0]
+        side0 = reduce(or_, (row[0] for row in self.entries))
+        sides = [side0 & ~row[0] | first[c] for c, row in enumerate(self.entries)]
+        for r, row in enumerate(self.entries):
+            for c, mask in enumerate(row):
+                if mask != sides[c] & ~sides[r]:
+                    raise ValueError(
+                        f"entry ({r},{c}) is not the distance of chambers "
+                        f"{c} and {r} on the sides that row 0 gives them"
                     )
 
     def entry_texts(self):
@@ -155,9 +169,10 @@ class Packing(NamedTuple):
         )
 
 
-def _row_supports(matrix: VMatrix):
-    """Per row, the mask of the variables that occur in the row."""
-    return [reduce(or_, row) for row in matrix.entries]
+def _row_supports(rows):
+    """Per row, the mask of the variables that occur in the row; an entry
+    of None is zero."""
+    return [reduce(or_, (e for e in row if e is not None), 0) for row in rows]
 
 
 def shared_packing(matrix: VMatrix, factored=None) -> Packing:
@@ -165,35 +180,97 @@ def shared_packing(matrix: VMatrix, factored=None) -> Packing:
     expansion of the `FactoredDet`; in it the two compare equal exactly
     when the polynomials do. No minor has a larger exponent of a variable
     than the number of rows the variable occurs in."""
-    supports = _row_supports(matrix)
+    supports = _row_supports(matrix.entries)
     bounds = [[sum(s >> k & 1 for s in supports) for k in range(matrix.nvars)]]
     if factored is not None:
         bounds.append(factored.bounds())
     return Packing.covering(matrix.nvars, *bounds)
 
 
-def support_order(matrix: VMatrix):
+def support_order(rows, nvars: int):
     """Row order for the minor expansion: split the rows on whether
     variable k occurs in the row, for k = 0, 1, ..., the larger group
-    first (the group holding k on a tie), each group keeping its order."""
-    supports = _row_supports(matrix)
-    groups = [list(range(matrix.size))]
-    for k in range(matrix.nvars):
+    first (the group holding k on a tie), each group keeping its order;
+    then stable-sorted by the number of nonzero (not None) entries, fewest
+    first."""
+    supports = _row_supports(rows)
+    groups = [list(range(len(rows)))]
+    for k in range(nvars):
         split = []
         for group in groups:
             has = [r for r in group if supports[r] >> k & 1]
             lacks = [r for r in group if not supports[r] >> k & 1]
             split += [g for g in sorted((has, lacks), key=len, reverse=True) if g]
         groups = split
-    return [r for group in groups for r in group]
+    order = [r for group in groups for r in group]
+    return sorted(order, key=lambda r: sum(e is not None for e in rows[r]))
+
+
+def _reduced_row(row, pivot, x: int, x_bar: int):
+    """(row - x * pivot) / (1 - x x_bar) as masks, None standing for zero,
+    or None when some column leaves a remainder: each column must be zero
+    in both rows, or e = p | x with x not in p (the new entry is zero), or
+    p = e | x_bar with x_bar not in e (the new entry is e)."""
+    new = []
+    for e, p in zip(row, pivot):
+        if e is None or p is None:
+            if e is not p:
+                return None
+            new.append(None)
+        elif e == p | x and not p & x:
+            new.append(None)
+        elif p == e | x_bar and not e & x_bar:
+            new.append(e)
+        else:
+            return None
+    return new
+
+
+def reduce_rows(matrix: VMatrix):
+    """(rows, counts): the matrix after row operations that each divide one
+    factor (1 - h^+ h^-) out of the determinant, and per hyperplane h the
+    number of factors (1 - h^+ h^-) divided out; see `det_symbolic`."""
+    rows = [list(row) for row in matrix.entries]
+    counts = [0] * (matrix.nvars // 2)
+    for h in range(len(counts)):
+        x = 1 << 2 * h
+        for i, row in enumerate(rows):
+            j = next((c for c, e in enumerate(row) if e == x and c != i), None)
+            if j is not None:
+                new = _reduced_row(row, rows[j], x, x << 1)
+                if new is not None:
+                    rows[i] = new
+                    counts[h] += 1
+    return rows, counts
+
+
+def _times_factor_power(packed, key: int, coef: int, exponent: int):
+    """packed * (1 - c x)^k for the monomial x of `key`, as a {key:
+    coefficient} dict; (1 - c x)^k expands as sum_j C(k, j) (-c)^j x^j."""
+    powers = [
+        (j * key, comb(exponent, j) * (-coef) ** j) for j in range(exponent + 1)
+    ]
+    nxt: dict = {}
+    get = nxt.get
+    for r_key, r_coef in packed.items():
+        for p_key, p_coef in powers:
+            p_key += r_key
+            nxt[p_key] = get(p_key, 0) + r_coef * p_coef
+    return {k: c for k, c in nxt.items() if c}
 
 
 def det_packed(matrix: VMatrix, packing: Packing):
     """The determinant as a {key: coefficient} dict in `packing`, which must
     cover the `shared_packing` of the matrix; see `det_symbolic`."""
-    order = support_order(matrix)
+    rows, counts = reduce_rows(matrix)
+    order = support_order(rows, matrix.nvars)
     keys = [
-        [packing.spread(matrix.entries[r][c]) for c in order] for r in order
+        [
+            (j, packing.spread(rows[r][c]))
+            for j, c in enumerate(order)
+            if rows[r][c] is not None
+        ]
+        for r in order
     ]
 
     level = {0: {0: 1}}
@@ -201,7 +278,7 @@ def det_packed(matrix: VMatrix, packing: Packing):
         nxt: dict = {}
         for mask, minor in level.items():
             items = minor.items()
-            for j, e_key in enumerate(row):
+            for j, e_key in row:
                 bit = 1 << j
                 if mask & bit:
                     continue
@@ -220,20 +297,39 @@ def det_packed(matrix: VMatrix, packing: Packing):
             kept = {key: coef for key, coef in acc.items() if coef}
             if kept:
                 level[mask] = kept
-    return level.get((1 << len(keys)) - 1, {})
+    det = level.get((1 << len(keys)) - 1, {})
+    for h, count in enumerate(counts):
+        if count:
+            det = _times_factor_power(det, packing.spread(3 << 2 * h), 1, count)
+    return det
 
 
 def det_symbolic(matrix: VMatrix) -> Polynomial:
-    """Exact determinant over Z[h]: row-by-row cofactor expansion memoized
-    on column subsets.
+    """Exact determinant over Z[h]: row operations that pull out factors
+    (1 - h^+ h^-), then a row-by-row cofactor expansion memoized on column
+    subsets.
 
-    Level r holds the minors of the first r rows on every r-subset of
-    columns, keyed by column bitmask. Adding row r to the subset T at
-    column j contributes sign (-1)^(r + index of j in T). A minor is only
-    ever multiplied by an original entry, which keeps intermediate growth
-    far below fraction-free elimination on these matrices.
+    Row operations (Aguiar-Mahajan). Let x = h^+, x' = h^-, and let row i
+    hold the entry x alone at column j != i: on a Varchenko matrix, H_h
+    alone separates the chambers C of row i and D of row j. Replacing row
+    i by row_i - x row_j multiplies V on the left by a unimodular matrix
+    (the identity with -x at (i, j), determinant 1), so det V is kept. The
+    new row is zero at each column E on D's side of H_h, where v(E, C) =
+    x v(E, D), and (1 - x x') v(E, C) on C's side, where v(E, D) =
+    x' v(E, C). So det V = (1 - x x') det V', where row i of V' keeps its
+    entries on C's side and is zero elsewhere. `reduce_rows` does this for
+    each hyperplane and each row in turn, checking every column on the
+    current rows, so it is valid for any mask matrix; a row where some
+    column fails is left as it is.
 
-    The expansion runs on P V P^T for the permutation P of
+    Expansion. Level r holds the minors of the first r rows on every
+    r-subset of columns, keyed by column bitmask. Adding row r to the
+    subset T at column j contributes sign (-1)^(r + index of j in T), and
+    zero entries contribute nothing. A minor is only ever multiplied by an
+    entry, which keeps intermediate growth far below fraction-free
+    elimination on these matrices.
+
+    The expansion runs on P V' P^T for the permutation P of
     `support_order`, which has the same determinant. Its cost is the
     number of terms of the minors, and the order keeps that small: when
     every row of a prefix lies on one side of H_h, the exponents of h in a
@@ -241,10 +337,16 @@ def det_symbolic(matrix: VMatrix) -> Polynomial:
     terms. On a Varchenko matrix, variable h^+ occurs in the row of C
     exactly when C lies in H_h^- and some chamber of the matrix in H_h^+,
     so the order sorts chambers lexicographically by side, within each
-    group the larger side of the next hyperplane first.
+    group the larger side of the next hyperplane first. The rows with the
+    fewest nonzero entries then go first, which keeps the early levels
+    small.
 
     Monomials are packed into ints by `shared_packing`, so fields never
-    carry and multiplying two monomials is one int addition.
+    carry and multiplying two monomials is one int addition. The packing
+    of V covers the minors of V', whose entries are entries of V or zero,
+    and each partial product of det V' with the pulled-out factors: over
+    the domain Z[h] the exponent of a variable in a product is the sum of
+    those in its factors, so none exceeds its exponent in det V.
     """
     packing = shared_packing(matrix)
     return packing.polynomial(det_packed(matrix, packing))
@@ -409,22 +511,11 @@ class FactoredDet:
 
     def packed(self, packing: Packing):
         """The expanded product as a {key: coefficient} dict in `packing`,
-        which must cover `bounds()`. It runs over the `grouped()` factors,
-        and (1 - c x)^k expands as sum_j C(k, j) (-c)^j x^j."""
+        which must cover `bounds()`. It runs over the `grouped()` factors."""
         result = {0: 1}
         for b_f, exponent in self.grouped():
             ((key, coef),) = packing.pack(b_f)
-            powers = [
-                (j * key, comb(exponent, j) * (-coef) ** j)
-                for j in range(exponent + 1)
-            ]
-            nxt: dict = {}
-            get = nxt.get
-            for r_key, r_coef in result.items():
-                for p_key, p_coef in powers:
-                    p_key += r_key
-                    nxt[p_key] = get(p_key, 0) + r_coef * p_coef
-            result = {k: c for k, c in nxt.items() if c}
+            result = _times_factor_power(result, key, coef, exponent)
         return result
 
     def expand(self) -> Polynomial:

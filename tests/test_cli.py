@@ -358,6 +358,18 @@ def test_detfile_rejects_entry_on_both_sides_of_a_hyperplane(tmp_path, capsys):
     assert "not a distance matrix" in capsys.readouterr().err
 
 
+def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
+    # Chambers 1 and 2 both lie on the h1^+ side of chamber 0, yet
+    # v(2, 1) = h1^+ puts them on opposite sides of H1.
+    bad = tmp_path / "unrealizable.vmx"
+    entries = ["1", "h1^+", "h1^+", "h1^-", "1", "h1^+", "h1^-", "h1^-", "1"]
+    bad.write_text("vmatrix 3 1\n" + "\n".join(entries) + "\n")
+    assert main(["detfile", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 1: not a distance matrix: "
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -58,9 +58,14 @@ def test_parse_errors_carry_line_numbers():
             parse_arrangement(f"dim 2\n1 0 {token}\n")
     # an origin of 999999999 coordinates would take minutes to build
     assert parse_arrangement(f"dim {MAX_DIMENSION}\n").dimension == MAX_DIMENSION
-    for n in (MAX_DIMENSION + 1, 999999999):
+    # int() refuses strings of over 4,300 digits, so the length goes first
+    for n in (MAX_DIMENSION + 1, 999999999, "9" * 5000):
         with pytest.raises(ParseError, match="line 1: dimension"):
             parse_arrangement(f"dim {n}\n")
+    assert parse_arrangement(f"dim {'0' * 5000}2\n").dimension == 2
+    # a superscript passes str.isdigit() but not int()
+    with pytest.raises(ParseError, match="line 1: expected 'dim n'"):
+        parse_arrangement("dim \u00b2\n")
 
 
 def test_duplicate_hyperplane_rejected_with_line():
@@ -110,6 +115,16 @@ def test_matrix_parse_errors():
             parse_matrix(f"vmatrix 2 1\n1\n{entry}\n1 * h1^-\n1\n")
     with pytest.raises(ParseError, match="diagonal"):
         parse_matrix("vmatrix 2 1\n2\n1 * h1^+\n1 * h1^-\n1\n")
+
+
+def test_matrix_header_numbers_of_over_4300_digits():
+    nines = "9" * 5000
+    with pytest.raises(ParseError, match="line 1: matrix size above the 1 entries"):
+        parse_matrix(f"vmatrix {nines} 1\n1\n")
+    with pytest.raises(ParseError, match="line 1: more than 10000 hyperplanes"):
+        parse_matrix(f"vmatrix 1 {nines}\n1\n")
+    matrix = parse_matrix(f"vmatrix {'0' * 5000}1 {'0' * 5000}1\n1\n")
+    assert (matrix.size, matrix.nvars) == (1, 2)
 
 
 def test_one_by_one_matrix():

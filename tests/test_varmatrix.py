@@ -34,6 +34,7 @@ from varchenko.varmatrix import (
     modular_assignment,
     multiplicity,
     product_formula,
+    reduce_rows,
     shared_packing,
     support_order,
     v,
@@ -151,6 +152,9 @@ def test_validate_on_masks():
         ([[0b01, 0b01], [0b10, 0]], "diagonal"),
         ([[0, 0b0011], [0b0011, 0]], "both half-space variables"),
         ([[0, 0b0110], [0b0110, 0]], "opposite half-space variables"),
+        # chambers 1 and 2 both lie on the h1^+ side of chamber 0, yet
+        # v(2, 1) = h1^+ puts them on opposite sides of H1
+        ([[0, 0b01, 0b01], [0b10, 0, 0b01], [0b10, 0b10, 0]], "distance of chambers"),
     ):
         with pytest.raises(ValueError, match=rule):
             VMatrix(range(len(entries)), entries, 4).validate()
@@ -215,6 +219,59 @@ def test_det_symbolic_matches_leibniz_oracle(matrix):
     assert det_symbolic(matrix) == det_by_permutations(matrix)
 
 
+@st.composite
+def sign_vector_matrices(draw):
+    """Distance matrices of random chamber sides over m <= 3 hyperplanes,
+    repeated chambers allowed, drawn as they are or with one entry replaced
+    by an arbitrary mask."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 3))
+    sides = [
+        sum(1 << 2 * h + draw(st.integers(0, 1)) for h in range(m)) for _ in range(n)
+    ]
+    entries = [[sides[c] & ~sides[r] for c in range(n)] for r in range(n)]
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        entries[r][c] = draw(st.integers(0, (1 << 2 * m) - 1))
+    return VMatrix(range(n), entries, 2 * m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_vector_matrices())
+def test_det_symbolic_of_sign_vector_matrices_matches_leibniz_oracle(matrix):
+    assert det_symbolic(matrix) == det_by_permutations(matrix)
+
+
+def test_reduce_rows_pulls_one_factor_from_r1(r1):
+    # row 1 holds h1^+ at column 0: row_1 - h1^+ row_0 = (0, 1 - h1^+ h1^-)
+    matrix = varchenko_matrix(r1.chambers())
+    assert matrix.entries == [[0, 0b10], [0b01, 0]]
+    assert reduce_rows(matrix) == ([[0, 0b10], [None, 0]], [1])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # column 0: e = p | x, but x is in p too, so e - x p = (1 - x) e
+        [[0b01, 0b01], [0b01, 0]],
+        # column 1: p = e | x', but x' is in e too, so e - x p = (1 - x) e
+        [[0, 0b10], [0b01, 0b10]],
+    ],
+    ids=["x-in-pivot", "x-bar-in-entry"],
+)
+def test_reduce_rows_leaves_a_row_with_a_remainder(entries):
+    matrix = VMatrix(range(2), entries, 2)
+    assert reduce_rows(matrix) == (entries, [0])
+    assert det_symbolic(matrix) == det_by_permutations(matrix)
+
+
+def test_reduce_rows_leaves_a_zero_beside_a_nonzero():
+    # reduced rows hold None for zero; in column 1 row 1 is zero and the
+    # pivot row 0 is not, so e - x p = -x p remains
+    entries = [[0, 0b10], [0b01, None]]
+    assert reduce_rows(VMatrix(range(2), entries, 2)) == (entries, [0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_det_symbolic_under_row_and_column_permutations(data):
@@ -233,7 +290,7 @@ def test_support_order_sorts_chambers_by_side(crossing):
     # h1^+ occurs in the rows of the chambers in H1^-, which come first on
     # the tie; within each, the chambers in H2^- come first.
     chambers = crossing.chambers()
-    order = support_order(varchenko_matrix(chambers))
+    order = support_order(varchenko_matrix(chambers).entries, 4)
     assert [chambers[r].signs for r in order] == [
         (MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS)
     ]
@@ -264,17 +321,30 @@ def cyclic_complex(m):
     return enumerate_faces(parse_arrangement(text))
 
 
+def assert_det_symbolic_matches_det_at(matrix, seed):
+    """det_symbolic evaluated at 3 seeded assignments equals det_at there."""
+    det = det_symbolic(matrix)
+    for trial in range(3):
+        assignment = modular_assignment(matrix.nvars, seed, trial, DEFAULT_PRIME)
+        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at(
+            matrix, assignment, DEFAULT_PRIME
+        )
+
+
 def test_det_symbolic_14_chamber_apartment_matches_det_at():
     complex_ = cyclic_complex(7)
     apartment = find_apartment(complex_, (2,), (MINUS,))
     matrix = varchenko_matrix(chambers_in(complex_, apartment))
     assert matrix.size == 14
-    det = det_symbolic(matrix)
-    for trial in range(3):
-        assignment = modular_assignment(matrix.nvars, 14, trial, DEFAULT_PRIME)
-        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at(
-            matrix, assignment, DEFAULT_PRIME
-        )
+    assert_det_symbolic_matches_det_at(matrix, 14)
+
+
+def test_det_symbolic_17_chamber_apartment_matches_det_at():
+    complex_ = cyclic_complex(7)
+    apartment = find_apartment(complex_, (1,), (MINUS,))
+    matrix = varchenko_matrix(chambers_in(complex_, apartment))
+    assert matrix.size == 17
+    assert_det_symbolic_matches_det_at(matrix, 17)
 
 
 def test_symbolic_determinants_lie_in_z_of_y(complexes):
@@ -325,12 +395,7 @@ def test_det_symbolic_12_chamber_apartment_matches_modular():
     apartment = find_apartment(complex_, (1,), (MINUS,))
     matrix = varchenko_matrix(chambers_in(complex_, apartment))
     assert matrix.size == 12
-    det = det_symbolic(matrix)
-    for trial in range(3):
-        assignment = modular_assignment(matrix.nvars, 3, trial, DEFAULT_PRIME)
-        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at(
-            matrix, assignment, DEFAULT_PRIME
-        )
+    assert_det_symbolic_matches_det_at(matrix, 3)
 
 
 def test_det_modular_identity_at_zero(crossing):
