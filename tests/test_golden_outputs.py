@@ -40,6 +40,20 @@ def commands():
     yield shlex.join(
         ["detfile", "two_pairs_apartment.vmx", "--json", "--expected", PAPER_PRODUCT]
     )
+    # text renderings, and products that fail (one with a weight that is
+    # not square-free)
+    yield "varchenko r3.arr --mode symbolic"
+    yield "varchenko two_pairs.arr"
+    yield shlex.join(
+        ["detfile", "two_pairs_apartment.vmx", "--expected", PAPER_PRODUCT]
+    )
+    yield shlex.join(
+        ["detfile", "two_pairs_apartment.vmx", "--expected", "(1 - h2^+ h2^-)^6"]
+    )
+    yield shlex.join(
+        ["detfile", "two_pairs_apartment.vmx", "--json", "--expected",
+         "(1 - h2^+^3)^2 (1 - h3^+ h3^-)^2"]
+    )
 
 
 def run(command, directory: Path):
