@@ -38,7 +38,6 @@ from .apartments import (
 from .polyring import (
     Polynomial,
     VarId,
-    eval_mod_p,
     format_polynomial,
     parse_polynomial,
     weight,

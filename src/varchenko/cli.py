@@ -20,11 +20,12 @@ from .euler import lemma_ch_check, lemma_chm_check
 from .faces import enumerate_faces, format_signs
 from .files import arrangement_digest, parse_arrangement, parse_matrix
 from .geometry import CHAR_SIGNS
-from .polyring import format_polynomial, parse_polynomial
+from .polyring import exponent_tuple, format_terms, read_terms
 from .report import SCHEMA_VERSION, VerificationReport
 from .tits import rank, tits_semigroup_check
 from .varmatrix import (
     DEFAULT_PRIME,
+    DEFAULT_SYMBOLIC_THRESHOLD,
     FactoredDet,
     beta_independence,
     beta_independence_check,
@@ -90,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "symbolic", "modular"),
         default="auto",
-        help="auto picks symbolic up to 12 chambers, modular beyond",
+        help=f"auto picks symbolic up to {DEFAULT_SYMBOLIC_THRESHOLD} chambers, "
+        "modular beyond",
     )
     _trial_args(p_var)
     p_var.add_argument("--json", action="store_true")
@@ -251,8 +253,8 @@ def cmd_varchenko(args) -> int:
         payload["beta_mismatches"] = mismatches
     if mode == "symbolic":
         packing, determinant, expected = outcome
-        payload["determinant"] = format_polynomial(packing.polynomial(determinant))
-        payload["expanded_product"] = format_polynomial(packing.polynomial(expected))
+        payload["determinant"] = format_terms(packing.terms(determinant))
+        payload["expanded_product"] = format_terms(packing.terms(expected))
         verified = determinant == expected
     else:
         payload["seed"] = seed
@@ -372,7 +374,8 @@ _FACTOR_RE = re.compile(r"\(\s*1\s*-\s*([^()]+?)\s*\)\s*(?:\^(\d+))?")
 
 def parse_expected_product(text: str, nvars: int) -> FactoredDet:
     """Parse '(1 - MONOMIAL)^k (1 - MONOMIAL)^k ...' into factored form,
-    each MONOMIAL nonconstant with coefficient 1."""
+    each MONOMIAL nonconstant with coefficient 1 and kept as its exponent
+    tuple."""
     factors = []
     consumed = 0
     for match in _FACTOR_RE.finditer(text):
@@ -380,14 +383,14 @@ def parse_expected_product(text: str, nvars: int) -> FactoredDet:
             raise ValueError(
                 f"unparsed text {text[consumed:match.start()]!r} in expected product"
             )
-        monomial = parse_polynomial(match.group(1), nvars)
-        if list(monomial.terms.values()) != [1] or monomial.constant_term():
+        terms = read_terms(match.group(1), nvars)
+        if len(terms) != 1 or terms[0][0] != 1 or not terms[0][1]:
             raise ValueError(
                 f"factor {match.group(0).strip()!r} is not (1 - MONOMIAL) "
                 "with a nonconstant monomial of coefficient 1"
             )
         exponent = int(match.group(2)) if match.group(2) else 1
-        factors.append((None, monomial, exponent))
+        factors.append((None, exponent_tuple(terms[0][1], nvars), exponent))
         consumed = match.end()
     if text[consumed:].strip():
         raise ValueError(f"unparsed trailing text {text[consumed:]!r}")
@@ -409,18 +412,18 @@ def cmd_detfile(args) -> int:
     )
     packing = shared_packing(matrix, expected)
     packed = det_packed(matrix, packing)
-    determinant = packing.polynomial(packed)
+    terms = packing.terms(packed)
     payload = {
         "schema": SCHEMA_VERSION,
         "size": matrix.size,
-        "determinant": format_polynomial(determinant),
+        "determinant": format_terms(terms),
     }
     verified = None
     if expected is not None:
         # Z[h] is a domain: unequal total degrees settle it without
-        # expanding; the product's degree is the sum of its bounds
-        degree = sum(expected.bounds())
-        verified = degree == max(map(sum, determinant.terms), default=-1)
+        # expanding; each factor (1 - b)^k adds k deg b to the degree
+        degree = sum(k * sum(b) for _, b, k in expected.factors)
+        verified = degree == max((sum(p.values()) for _, p in terms), default=-1)
         verified = verified and expected.packed(packing) == packed
         payload["expected"] = expected.text()
         payload["verified"] = verified

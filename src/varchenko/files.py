@@ -9,9 +9,10 @@ where a.x > b.
 Matrix file: header ``vmatrix <size> <num_hyperplanes>``, then size^2
 polynomial entries in row-major order, one per line, in the canonical text
 form of the polynomial module, each a square-free monomial with
-coefficient 1, kept as its variable mask. A parsed term holds one exponent
-per ring variable, two per declared hyperplane, so the header may declare
-at most MAX_HYPERPLANES hyperplanes.
+coefficient 1, kept as its variable mask. Entries are read sparsely, so
+parsing costs follow the file, not the header. The factors of an expected
+product are exponent tuples with one slot per ring variable, two per
+declared hyperplane, so the header may declare at most MAX_HYPERPLANES.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from importlib.resources import files as _resource_files
 
 from .geometry import Hyperplane, Arrangement
-from .polyring import parse_polynomial
+from .polyring import read_terms
 from .varmatrix import VMatrix
 
 MAX_HYPERPLANES = 10_000
@@ -154,15 +155,15 @@ def parse_matrix(text: str) -> VMatrix:
             f"expected {size * size} entries, found {len(body)}",
         )
     nvars = 2 * num_hyperplanes
-    polys = []
+    terms = []
     for number, chunk in body:
         try:
-            polys.append(parse_polynomial(chunk, nvars))
+            terms.append(read_terms(chunk, nvars))
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None
     try:
         entries = [
-            [_entry_mask(polys[r * size + c], r, c) for c in range(size)]
+            [_entry_mask(terms[r * size + c], r, c) for c in range(size)]
             for r in range(size)
         ]
         matrix = VMatrix(list(range(size)), entries, nvars)
@@ -172,17 +173,18 @@ def parse_matrix(text: str) -> VMatrix:
     return matrix
 
 
-def _entry_mask(poly, r, c) -> int:
-    """The variable mask of entry (r, c), which must be 1 on the diagonal
-    and a square-free monomial with coefficient 1 everywhere."""
-    if r == c and not poly.is_one():
+def _entry_mask(terms, r, c) -> int:
+    """The variable mask of entry (r, c), given as `read_terms` output,
+    which must be 1 on the diagonal and a square-free monomial with
+    coefficient 1 everywhere."""
+    if r == c and terms != [(1, {})]:
         raise ValueError(f"diagonal entry ({r},{r}) is not 1")
-    if len(poly.terms) != 1:
+    if len(terms) != 1:
         raise ValueError(f"off-diagonal entry ({r},{c}) is not a monomial")
-    ((mono, coef),) = poly.terms.items()
-    if coef != 1 or any(e > 1 for e in mono):
+    ((coef, powers),) = terms
+    if coef != 1 or any(e > 1 for e in powers.values()):
         raise ValueError(f"entry ({r},{c}) must be square-free with coefficient 1")
-    return sum(1 << i for i, e in enumerate(mono) if e)
+    return sum(1 << i for i in powers)
 
 
 def serialize_matrix(matrix: VMatrix, num_hyperplanes: int) -> str:

@@ -1,20 +1,23 @@
-"""Sparse polynomials over Z in the half-space variables h_i^+, h_i^-.
+"""The text form of polynomials over Z in the half-space variables h_i^+,
+h_i^-, and the Polynomial value that the library returns and prints.
 
-Every hyperplane i (0-based internally, printed 1-based as h1, h2, ...)
-contributes two variables. A monomial is a dense tuple of exponents of
-length 2*m, variable order h1^+ < h1^- < h2^+ < ..., and terms are kept in
-a dict keyed by monomial with nonzero integer coefficients. The term order
-used for leading terms and serialization is graded lexicographic.
+Hyperplane i (0-based, printed 1-based as h1, h2, ...) gives the variables
+h_i^+ and h_i^- the indices 2i and 2i + 1, the bits of a `Face.half` mask.
+A monomial is an exponent tuple of length nvars; a Polynomial maps
+exponent tuples to nonzero coefficients. Only this module reads or writes
+the text form, and it does no arithmetic: the library computes on masks
+and packed keys, and the tests keep a ring of their own.
 
-Text form (bit-exact, round-trips through parse_polynomial): terms appear
-in graded-lex ascending order joined by ' + ' or ' - ', each with an
-explicit coefficient, e.g. "0", "1", "1 - 1 * h1^+ h1^-",
-"2 * h2^+^3 h4^-". Exponent 1 is implicit; higher powers append "^e".
+Text form (bit-exact, round-trips through parse_polynomial): terms in
+graded-lex ascending order (degree, then exponent tuple) joined by ' + ' or
+' - ', each with an explicit coefficient, e.g. "0", "1", "1 - 1 * h1^+
+h1^-", "2 * h2^+^3 h4^-". Exponent 1 is implicit; higher powers append "^e".
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress, count, islice
 from typing import NamedTuple
 
 from .geometry import MINUS, PLUS
@@ -39,140 +42,14 @@ def var_of_index(index: int) -> VarId:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact integer coefficients."""
+    """Immutable sparse polynomial with exact integer coefficients, as
+    {exponent tuple: coefficient}."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        self.terms = dict(terms) if terms else {}
-        if 0 in self.terms.values():
-            self.terms = {m: c for m, c in self.terms.items() if c}
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value: int) -> "Polynomial":
-        if value == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: int(value)})
-
-    @classmethod
-    def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(nvars, 1)
-
-    @classmethod
-    def variable(cls, nvars: int, var: VarId) -> "Polynomial":
-        return cls.monomial(nvars, {var: 1})
-
-    @classmethod
-    def square_free(cls, nvars: int, mask: int) -> "Polynomial":
-        """The product of the variables whose `VarId.index` bits are set in
-        mask, with coefficient 1; mask 0 gives the constant 1."""
-        return cls(nvars, {tuple(mask >> i & 1 for i in range(nvars)): 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, powers, coefficient: int = 1):
-        """Single term from {VarId: exponent} powers."""
-        expo = [0] * nvars
-        for var, e in powers.items():
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
-            if var.index >= nvars:
-                raise ValueError(
-                    f"variable {var.label()} outside ring with {nvars} slots"
-                )
-            expo[var.index] += e
-        if coefficient == 0:
-            return cls(nvars)
-        return cls(nvars, {tuple(expo): int(coefficient)})
-
-    # -- basic queries ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
-    def leading_term(self):
-        """(monomial, coefficient) maximal in graded lex order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=lambda m: (sum(m), m))
-        return mono, self.terms[mono]
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _check(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError(
-                f"mixing rings with {self.nvars} and {other.nvars} variables"
-            )
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            total = out.get(mono, 0) + coef
-            if total:
-                out[mono] = total
-            else:
-                out.pop(mono, None)
-        return Polynomial(self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(
-            self.nvars, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial(self.nvars)
-        small, large = self.terms, other.terms
-        if len(small) > len(large):
-            small, large = large, small
-        out: dict = {}
-        for mono_a, coef_a in small.items():
-            for mono_b, coef_b in large.items():
-                key = tuple(x + y for x, y in zip(mono_a, mono_b))
-                total = out.get(key, 0) + coef_a * coef_b
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return Polynomial(self.nvars, out)
-
-    def scale(self, factor: int) -> "Polynomial":
-        if factor == 0:
-            return Polynomial(self.nvars)
-        return Polynomial(
-            self.nvars, {m: c * factor for m, c in self.terms.items()}
-        )
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not in the ring")
-        result = Polynomial.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        self.terms = {m: c for m, c in dict(terms or {}).items() if c}
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,9 +57,6 @@ class Polynomial:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
@@ -198,25 +72,15 @@ def assignment_values(assignment, nvars: int, prime: int):
     return values
 
 
-def eval_values(poly: Polynomial, values, prime: int) -> int:
-    """Value of the polynomial mod prime at `assignment_values` output."""
-    total = 0
-    for mono, coef in poly.terms.items():
-        product = coef % prime
-        for i, e in enumerate(mono):
-            if e:
-                if values[i] is None:
-                    raise ValueError(
-                        f"assignment misses variable {var_of_index(i).label()}"
-                    )
-                product = product * pow(values[i], e, prime) % prime
-        total = (total + product) % prime
-    return total
+def nonzero_indices(mono):
+    """The indices of the nonzero exponents of an exponent tuple, lowest
+    first; the scan stops at the last of them."""
+    return islice(compress(count(), mono), len(mono) - mono.count(0))
 
 
-def eval_mod_p(poly: Polynomial, assignment, prime: int) -> int:
-    """Value of the polynomial mod prime at a total {VarId: int} assignment."""
-    return eval_values(poly, assignment_values(assignment, poly.nvars, prime), prime)
+def mask_exponents(mask: int, nvars: int) -> tuple:
+    """The exponent tuple of the square-free monomial of a variable mask."""
+    return tuple(mask >> i & 1 for i in range(nvars))
 
 
 def weight(face) -> Polynomial:
@@ -224,71 +88,82 @@ def weight(face) -> Polynomial:
     the variables of the face's `zero` mask."""
     if face.is_chamber:
         raise ValueError(f"chambers have no weight, got {face!r}")
-    return Polynomial.square_free(2 * len(face.signs), face.zero)
+    nvars = 2 * len(face.signs)
+    return Polynomial(nvars, {mask_exponents(face.zero, nvars): 1})
 
 
-# -- text form ------------------------------------------------------------
+# -- printing ---------------------------------------------------------------
+
+
+def _graded_lex(term):
+    """Sort key of a (coefficient, {variable index: exponent}) term that
+    orders it as graded lex orders exponent tuples: by degree, then by the
+    exponent at the first index where two tuples differ."""
+    powers = sorted(term[1].items())
+    return sum(e for _, e in powers), [(-i, e) for i, e in powers]
+
+
+def _format_term(coef: int, powers) -> str:
+    parts = [
+        var_of_index(i).label() + (f"^{e}" if e > 1 else "")
+        for i, e in sorted(powers.items())
+    ]
+    return f"{coef} * {' '.join(parts)}" if parts else str(coef)
+
+
+def format_terms(terms) -> str:
+    """Canonical text of [(coefficient, {variable index: exponent})] terms
+    with distinct monomials, the inverse of `read_terms`; it reads only the
+    variables that occur."""
+    if not terms:
+        return "0"
+    (coef, powers), *rest = sorted(terms, key=_graded_lex)
+    pieces = [_format_term(coef, powers)]
+    for coef, powers in rest:
+        pieces += [" + " if coef > 0 else " - ", _format_term(abs(coef), powers)]
+    return "".join(pieces)
+
+
+def format_polynomial(poly: Polynomial) -> str:
+    """Canonical text of a Polynomial; see `format_terms`."""
+    return format_terms([(c, _powers(m)) for m, c in poly.terms.items()])
+
+
+def format_monomial(mono) -> str:
+    """Canonical text of the monomial of an exponent tuple, coefficient 1."""
+    return _format_term(1, _powers(mono))
+
+
+def _powers(mono) -> dict:
+    return {i: mono[i] for i in nonzero_indices(mono)}
+
+
+# -- parsing ----------------------------------------------------------------
 
 _VAR_RE = re.compile(r"^h(\d+)\^([+-])(?:\^(\d+))?$")
 
 
-def _format_vars(mono) -> str:
-    parts = []
-    for i, e in enumerate(mono):
-        if not e:
-            continue
-        label = var_of_index(i).label()
-        parts.append(label if e == 1 else f"{label}^{e}")
-    return " ".join(parts)
-
-
-def format_polynomial(poly: Polynomial) -> str:
-    """Canonical text: graded-lex ascending terms, explicit coefficients."""
-    if not poly.terms:
-        return "0"
-    ordered = sorted(poly.terms, key=lambda m: (sum(m), m))
-    pieces = []
-    for k, mono in enumerate(ordered):
-        coef = poly.terms[mono]
-        vars_part = _format_vars(mono)
-        if k == 0:
-            mag = coef
-        else:
-            pieces.append(" + " if coef > 0 else " - ")
-            mag = abs(coef)
-        if vars_part:
-            pieces.append(f"{mag} * {vars_part}")
-        else:
-            pieces.append(str(mag))
-    return "".join(pieces)
-
-
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse the canonical text form (coefficient `1 *` may be omitted)."""
+def read_terms(text: str, nvars: int):
+    """The terms of the text form as [(coefficient, {variable index:
+    exponent})], like terms merged and zero terms dropped; the coefficient
+    `1 *` may be omitted. Its size follows the text, not nvars."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
-    if text == "0":
-        return Polynomial.zero(nvars)
     chunks = re.split(r"\s+([+-])\s+", text)
-    result = Polynomial.zero(nvars)
-    sign = 1
-    for k, chunk in enumerate(chunks):
-        if k % 2 == 1:
-            sign = 1 if chunk == "+" else -1
-            continue
-        result = result + _parse_term(chunk, nvars, sign)
-    return result
+    merged: dict = {}
+    for sign, chunk in zip(["+", *chunks[1::2]], chunks[::2]):
+        coef, powers = _read_term(chunk, nvars)
+        key = tuple(sorted(powers.items()))
+        merged[key] = merged.get(key, 0) + (coef if sign == "+" else -coef)
+    return [(coef, dict(key)) for key, coef in merged.items() if coef]
 
 
-def _parse_term(chunk: str, nvars: int, sign: int) -> Polynomial:
-    coef = 1
-    vars_text = chunk
-    if "*" in chunk:
-        coef_text, vars_text = (s.strip() for s in chunk.split("*", 1))
-        coef = int(coef_text)
-    elif re.fullmatch(r"-?\d+", chunk.strip()):
-        return Polynomial.constant(nvars, sign * int(chunk))
+def _read_term(chunk: str, nvars: int):
+    head, star, tail = chunk.partition("*")
+    if not star and re.fullmatch(r"-?\d+", chunk.strip()):
+        return int(chunk), {}
+    coef, vars_text = (int(head.strip()), tail) if star else (1, chunk)
     powers: dict = {}
     for token in vars_text.split():
         match = _VAR_RE.match(token)
@@ -298,6 +173,23 @@ def _parse_term(chunk: str, nvars: int, sign: int) -> Polynomial:
         if label < 1:
             raise ValueError(f"variable index must be >= 1 in {token!r}")
         var = VarId(label - 1, PLUS if match.group(2) == "+" else MINUS)
+        if var.index >= nvars:
+            raise ValueError(f"variable {var.label()} outside ring with {nvars} slots")
         exponent = int(match.group(3)) if match.group(3) else 1
-        powers[var] = powers.get(var, 0) + exponent
-    return Polynomial.monomial(nvars, powers, sign * coef)
+        powers[var.index] = powers.get(var.index, 0) + exponent
+    return coef, {i: e for i, e in powers.items() if e}
+
+
+def exponent_tuple(powers, nvars: int) -> tuple:
+    """The exponent tuple of a {variable index: exponent} monomial."""
+    mono = [0] * nvars
+    for i, e in powers.items():
+        mono[i] = e
+    return tuple(mono)
+
+
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
+    """Parse the canonical text form (coefficient `1 *` may be omitted)."""
+    return Polynomial(
+        nvars, {exponent_tuple(p, nvars): c for c, p in read_terms(text, nvars)}
+    )

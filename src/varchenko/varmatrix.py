@@ -8,7 +8,8 @@ same chamber order, so the determinant does not depend on that order.
 A distance is a square-free monomial with coefficient 1, so `v` and every
 matrix entry are the half-space mask (`Face.half` bits) of that monomial.
 The identity checks compare masks, the determinant spreads each mask into
-a packed key, and an entry becomes a Polynomial only to be written as text.
+a packed key, and each face weight is an exponent tuple (an expected
+product read from text may hold weights that are not square-free).
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from .faces import Face, FaceComplex, centralization, closure_faces
 from .polyring import (
     Polynomial,
     assignment_values,
-    eval_values,
-    format_polynomial,
+    exponent_tuple,
+    format_monomial,
+    format_terms,
+    mask_exponents,
+    nonzero_indices,
     var_of_index,
-    weight,
 )
 from .report import FAIL, PASS, CheckResult
 from .tits import opposite_through, tits_product
@@ -78,7 +81,7 @@ class VMatrix:
         n = self.size
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix is not square")
-        plus = sum(1 << k for k in range(0, self.nvars, 2))
+        plus = ((1 << self.nvars + self.nvars % 2) - 1) // 3  # bits 0, 2, 4, ...
         for i, row in enumerate(self.entries):
             if row[i]:
                 raise ValueError(f"diagonal entry ({i},{i}) is not 1")
@@ -109,9 +112,17 @@ class VMatrix:
     def entry_texts(self):
         """The entries in the canonical polynomial text form, row by row."""
         return [
-            [format_polynomial(Polynomial.square_free(self.nvars, e)) for e in row]
+            [format_monomial(mask_exponents(e, self.nvars)) for e in row]
             for row in self.entries
         ]
+
+
+def set_bits(mask: int):
+    """The indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def varchenko_matrix(chambers) -> VMatrix:
@@ -139,33 +150,34 @@ class Packing(NamedTuple):
 
     @classmethod
     def covering(cls, nvars: int, *bounds) -> "Packing":
-        """The narrowest packing that holds every per-variable bound given."""
-        top = max((b for bound in bounds for b in bound), default=0)
+        """The narrowest packing that holds every exponent bound given."""
+        top = max((max(bound, default=0) for bound in bounds), default=0)
         return cls(nvars, max(1, top.bit_length()))
 
     def spread(self, mask: int) -> int:
         """The key of the square-free monomial of a variable mask."""
         w = self.width
-        return sum(1 << i * w for i in range(self.nvars) if mask >> i & 1)
+        return sum(1 << i * w for i in set_bits(mask))
 
-    def pack(self, poly: Polynomial):
-        """[(key, coefficient)] of the polynomial's terms."""
+    def key(self, mono) -> int:
+        """The key of the monomial of an exponent tuple."""
         w = self.width
+        return sum(mono[i] << i * w for i in nonzero_indices(mono))
+
+    def terms(self, packed):
+        """[(coefficient, {variable index: exponent})] of a {key:
+        coefficient} dict, reading only the nonzero fields of each key."""
+        w, field = self.width, (1 << self.width) - 1
         return [
-            (sum(e << i * w for i, e in enumerate(mono) if e), coef)
-            for mono, coef in poly.terms.items()
+            (coef, {i // w: key >> i - i % w & field for i in set_bits(key)})
+            for key, coef in packed.items()
         ]
 
     def polynomial(self, packed) -> Polynomial:
         """The Polynomial of a {key: coefficient} dict."""
-        field = (1 << self.width) - 1
-        shifts = range(0, self.nvars * self.width, self.width)
         return Polynomial(
             self.nvars,
-            {
-                tuple(key >> s & field for s in shifts): coef
-                for key, coef in packed.items()
-            },
+            {exponent_tuple(p, self.nvars): c for c, p in self.terms(packed)},
         )
 
 
@@ -181,21 +193,22 @@ def shared_packing(matrix: VMatrix, factored=None) -> Packing:
     when the polynomials do. No minor has a larger exponent of a variable
     than the number of rows the variable occurs in."""
     supports = _row_supports(matrix.entries)
-    bounds = [[sum(s >> k & 1 for s in supports) for k in range(matrix.nvars)]]
+    occurring = set_bits(reduce(or_, supports, 0))
+    bounds = [[sum(s >> k & 1 for s in supports) for k in occurring]]
     if factored is not None:
         bounds.append(factored.bounds())
     return Packing.covering(matrix.nvars, *bounds)
 
 
-def support_order(rows, nvars: int):
+def support_order(rows):
     """Row order for the minor expansion: split the rows on whether
-    variable k occurs in the row, for k = 0, 1, ..., the larger group
-    first (the group holding k on a tie), each group keeping its order;
-    then stable-sorted by the number of nonzero (not None) entries, fewest
-    first."""
+    variable k occurs in the row, for each variable k that occurs in some
+    row in increasing order, the larger group first (the group holding k
+    on a tie), each group keeping its order; then stable-sorted by the
+    number of nonzero (not None) entries, fewest first."""
     supports = _row_supports(rows)
     groups = [list(range(len(rows)))]
-    for k in range(nvars):
+    for k in set_bits(reduce(or_, supports, 0)):
         split = []
         for group in groups:
             has = [r for r in group if supports[r] >> k & 1]
@@ -229,11 +242,13 @@ def _reduced_row(row, pivot, x: int, x_bar: int):
 def reduce_rows(matrix: VMatrix):
     """(rows, counts): the matrix after row operations that each divide one
     factor (1 - h^+ h^-) out of the determinant, and per hyperplane h the
-    number of factors (1 - h^+ h^-) divided out; see `det_symbolic`."""
+    number of factors (1 - h^+ h^-) divided out; see `det_symbolic`. Only
+    hyperplanes whose h^+ occurs are tried: no row operation adds one."""
     rows = [list(row) for row in matrix.entries]
     counts = [0] * (matrix.nvars // 2)
-    for h in range(len(counts)):
-        x = 1 << 2 * h
+    plus = ((1 << 2 * len(counts)) - 1) // 3  # the variables h^+
+    for k in set_bits(reduce(or_, _row_supports(rows), 0) & plus):
+        h, x = k // 2, 1 << k
         for i, row in enumerate(rows):
             j = next((c for c, e in enumerate(row) if e == x and c != i), None)
             if j is not None:
@@ -244,12 +259,10 @@ def reduce_rows(matrix: VMatrix):
     return rows, counts
 
 
-def _times_factor_power(packed, key: int, coef: int, exponent: int):
-    """packed * (1 - c x)^k for the monomial x of `key`, as a {key:
-    coefficient} dict; (1 - c x)^k expands as sum_j C(k, j) (-c)^j x^j."""
-    powers = [
-        (j * key, comb(exponent, j) * (-coef) ** j) for j in range(exponent + 1)
-    ]
+def _times_factor_power(packed, key: int, exponent: int):
+    """packed * (1 - x)^k for the monomial x of `key`, as a {key:
+    coefficient} dict; (1 - x)^k expands as sum_j C(k, j) (-1)^j x^j."""
+    powers = [(j * key, comb(exponent, j) * (-1) ** j) for j in range(exponent + 1)]
     nxt: dict = {}
     get = nxt.get
     for r_key, r_coef in packed.items():
@@ -263,7 +276,7 @@ def det_packed(matrix: VMatrix, packing: Packing):
     """The determinant as a {key: coefficient} dict in `packing`, which must
     cover the `shared_packing` of the matrix; see `det_symbolic`."""
     rows, counts = reduce_rows(matrix)
-    order = support_order(rows, matrix.nvars)
+    order = support_order(rows)
     keys = [
         [
             (j, packing.spread(rows[r][c]))
@@ -298,9 +311,8 @@ def det_packed(matrix: VMatrix, packing: Packing):
             if kept:
                 level[mask] = kept
     det = level.get((1 << len(keys)) - 1, {})
-    for h, count in enumerate(counts):
-        if count:
-            det = _times_factor_power(det, packing.spread(3 << 2 * h), 1, count)
+    for h in nonzero_indices(counts):
+        det = _times_factor_power(det, packing.spread(3 << 2 * h), counts[h])
     return det
 
 
@@ -377,11 +389,11 @@ def assignment_digest(assignment, prime: int) -> str:
 def det_at(matrix: VMatrix, assignment, prime: int) -> int:
     """Determinant of the matrix evaluated at one assignment, mod prime."""
     values = assignment_values(assignment, matrix.nvars, prime)
-
-    def value(mask):
-        return prod(values[i] for i in range(matrix.nvars) if mask >> i & 1) % prime
-
-    return _det_mod([[value(e) for e in row] for row in matrix.entries], prime)
+    rows = [
+        [prod(values[i] for i in set_bits(e)) % prime for e in row]
+        for row in matrix.entries
+    ]
+    return _det_mod(rows, prime)
 
 
 def det_modular(matrix: VMatrix, seed=0, trials: int = 10):
@@ -490,12 +502,12 @@ def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
 
 class FactoredDet:
     """The product prod (1 - b_F)^{beta_F} in factored form, each weight
-    b_F a monomial."""
+    b_F a monomial with coefficient 1, kept as its exponent tuple."""
 
     __slots__ = ("nvars", "factors")
 
     def __init__(self, nvars, factors):
-        # factors: list of (face_id, weight Polynomial, exponent)
+        # factors: list of (face_id, weight exponent tuple, exponent)
         self.nvars = nvars
         self.factors = list(factors)
 
@@ -504,18 +516,17 @@ class FactoredDet:
         weight's exponent. This is the exponent vector of the product's
         top term, so no term exceeds it and its sum is the degree."""
         bounds = [0] * self.nvars
-        for _, b_f, exponent in self.factors:
-            (mono,) = b_f.terms
-            bounds = [b + exponent * e for b, e in zip(bounds, mono)]
+        for _, mono, exponent in self.factors:
+            for i in nonzero_indices(mono):
+                bounds[i] += exponent * mono[i]
         return bounds
 
     def packed(self, packing: Packing):
         """The expanded product as a {key: coefficient} dict in `packing`,
         which must cover `bounds()`. It runs over the `grouped()` factors."""
         result = {0: 1}
-        for b_f, exponent in self.grouped():
-            ((key, coef),) = packing.pack(b_f)
-            result = _times_factor_power(result, key, coef, exponent)
+        for mono, exponent in self.grouped():
+            result = _times_factor_power(result, packing.key(mono), exponent)
         return result
 
     def expand(self) -> Polynomial:
@@ -525,44 +536,36 @@ class FactoredDet:
     def eval_mod(self, assignment, prime: int) -> int:
         values = assignment_values(assignment, self.nvars, prime)
         value = 1
-        for _, b_f, exponent in self.factors:
+        for _, mono, exponent in self.factors:
             if exponent:
-                base = (1 - eval_values(b_f, values, prime)) % prime
-                value = value * pow(base, exponent, prime) % prime
+                b = prod(pow(values[i], mono[i], prime) for i in nonzero_indices(mono))
+                value = value * pow((1 - b) % prime, exponent, prime) % prime
         return value
 
     def grouped(self):
-        """Factors with equal weights merged: [(weight, total exponent)],
-        in graded-lex order of the weight monomial."""
+        """Factors with equal weights merged: [(weight exponent tuple, total
+        exponent)], by the first variable of the weight, then by the tuple."""
         totals: dict = {}
-        polys: dict = {}
-        for _, b_f, exponent in self.factors:
-            if not exponent:
-                continue
-            key = b_f.leading_term()[0]
-            totals[key] = totals.get(key, 0) + exponent
-            polys[key] = b_f
-        ordered = sorted(
-            totals, key=lambda m: (next(i for i, e in enumerate(m) if e), m)
+        for _, mono, exponent in self.factors:
+            if exponent:
+                totals[mono] = totals.get(mono, 0) + exponent
+        return sorted(
+            totals.items(), key=lambda item: (next(nonzero_indices(item[0])), item[0])
         )
-        return [(polys[k], totals[k]) for k in ordered]
 
     def text(self) -> str:
         pieces = [
-            f"(1 - {format_polynomial(b_f)})^{exponent}"
-            for b_f, exponent in self.grouped()
+            f"(1 - {format_monomial(mono)})^{exponent}"
+            for mono, exponent in self.grouped()
         ]
         return " ".join(pieces) if pieces else "1"
-
-    def __repr__(self):
-        return f"FactoredDet({self.text()})"
 
 
 def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> FactoredDet:
     """Assemble the factored determinant from faces and their multiplicities."""
     nvars = 2 * complex_.arrangement.size
     factors = [
-        (face.id, weight(face), betas[face.id])
+        (face.id, mask_exponents(face.zero, nvars), betas[face.id])
         for face in non_chamber_faces
     ]
     return FactoredDet(nvars, factors)
@@ -638,8 +641,8 @@ def verify_factorization(
         packing, determinant, expected = outcome
         if determinant == expected:
             return CheckResult("factorization", PASS, ctx, details)
-        details["determinant"] = format_polynomial(packing.polynomial(determinant))
-        details["expected"] = format_polynomial(packing.polynomial(expected))
+        details["determinant"] = format_terms(packing.terms(determinant))
+        details["expected"] = format_terms(packing.terms(expected))
         return CheckResult("factorization", FAIL, ctx, details)
 
     details["seed"] = str(seed)

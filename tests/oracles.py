@@ -6,10 +6,131 @@ from fractions import Fraction
 from varchenko.apartments import enumerate_apartments
 from varchenko.geometry import MINUS, PLUS, ZERO, feasible_interior
 from varchenko.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
-from varchenko.polyring import Polynomial, VarId
+from varchenko import polyring
+from varchenko.polyring import VarId, var_of_index
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class Polynomial(polyring.Polynomial):
+    """The library's polynomial value with sparse ring arithmetic, for
+    reference computations. Instances compare equal to the library's values
+    of the same terms, in both directions."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, poly) -> "Polynomial":
+        return cls(poly.nvars, poly.terms)
+
+    @classmethod
+    def zero(cls, nvars: int) -> "Polynomial":
+        return cls(nvars)
+
+    @classmethod
+    def constant(cls, nvars: int, value: int) -> "Polynomial":
+        return cls(nvars, {(0,) * nvars: int(value)})
+
+    @classmethod
+    def one(cls, nvars: int) -> "Polynomial":
+        return cls.constant(nvars, 1)
+
+    @classmethod
+    def variable(cls, nvars: int, var: VarId) -> "Polynomial":
+        return cls.monomial(nvars, {var: 1})
+
+    @classmethod
+    def square_free(cls, nvars: int, mask: int) -> "Polynomial":
+        """The product of the variables whose `VarId.index` bits are set in
+        mask, with coefficient 1; mask 0 gives the constant 1."""
+        return cls(nvars, {polyring.mask_exponents(mask, nvars): 1})
+
+    @classmethod
+    def monomial(cls, nvars: int, powers, coefficient: int = 1):
+        """Single term from {VarId: exponent} powers."""
+        expo = [0] * nvars
+        for var, e in powers.items():
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            if var.index >= nvars:
+                raise ValueError(
+                    f"variable {var.label()} outside ring with {nvars} slots"
+                )
+            expo[var.index] += e
+        return cls(nvars, {tuple(expo): int(coefficient)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_one(self) -> bool:
+        return self.terms == {(0,) * self.nvars: 1}
+
+    def constant_term(self) -> int:
+        return self.terms.get((0,) * self.nvars, 0)
+
+    def leading_term(self):
+        """(monomial, coefficient) maximal in graded lex order."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading term")
+        mono = max(self.terms, key=lambda m: (sum(m), m))
+        return mono, self.terms[mono]
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError(
+                f"mixing rings with {self.nvars} and {other.nvars} variables"
+            )
+
+    def __add__(self, other) -> "Polynomial":
+        self._check(other)
+        out = dict(self.terms)
+        for mono, coef in other.terms.items():
+            out[mono] = out.get(mono, 0) + coef
+        return Polynomial(self.nvars, out)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Polynomial":
+        return self + (-Polynomial.of(other))
+
+    def __mul__(self, other) -> "Polynomial":
+        self._check(other)
+        out: dict = {}
+        for mono_a, coef_a in self.terms.items():
+            for mono_b, coef_b in other.terms.items():
+                key = tuple(x + y for x, y in zip(mono_a, mono_b))
+                out[key] = out.get(key, 0) + coef_a * coef_b
+        return Polynomial(self.nvars, out)
+
+    def scale(self, factor: int) -> "Polynomial":
+        return Polynomial(self.nvars, {m: c * factor for m, c in self.terms.items()})
+
+    def __pow__(self, exponent: int) -> "Polynomial":
+        if exponent < 0:
+            raise ValueError("negative powers are not in the ring")
+        result = Polynomial.one(self.nvars)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+
+def eval_mod_p(poly, assignment, prime: int) -> int:
+    """Value of a polynomial mod prime at a total {VarId: int} assignment."""
+    values = {var.index: v % prime for var, v in assignment.items()}
+    total = 0
+    for mono, coef in poly.terms.items():
+        product = coef
+        for i, e in enumerate(mono):
+            if e:
+                if i not in values:
+                    raise ValueError(
+                        f"assignment misses variable {var_of_index(i).label()}"
+                    )
+                product = product * pow(values[i], e, prime)
+        total = (total + product) % prime
+    return total
 
 
 def permutation_sign(perm) -> int:
@@ -304,6 +425,20 @@ def zero_substitution(poly: Polynomial, hyperplanes) -> Polynomial:
         if not any(mono[i] for i in killed)
     }
     return Polynomial(poly.nvars, kept)
+
+
+def relabel(mono, perm):
+    """An exponent tuple with hyperplane i renamed perm[i]: the exponents
+    of h_i^+ and h_i^- move to h_perm[i]^+ and h_perm[i]^-."""
+    out = [0] * len(mono)
+    for i, new in enumerate(perm):
+        out[2 * new : 2 * new + 2] = mono[2 * i : 2 * i + 2]
+    return tuple(out)
+
+
+def relabel_polynomial(poly, perm) -> Polynomial:
+    """The polynomial with every hyperplane i renamed perm[i]."""
+    return Polynomial(poly.nvars, {relabel(m, perm): c for m, c in poly.terms.items()})
 
 
 def solve_lp_fraction(objective, a_ub, b_ub, a_eq, b_eq):

@@ -20,7 +20,7 @@ from varchenko.faces import (
 )
 from varchenko.files import bundled_text, parse_matrix
 from varchenko.geometry import MINUS, PLUS, ZERO, side_of
-from varchenko.polyring import Polynomial, VarId, format_polynomial, weight
+from varchenko.polyring import VarId, format_polynomial, weight
 from varchenko.tits import tits_product, tits_semigroup_check
 from varchenko.varmatrix import (
     DEFAULT_PRIME,
@@ -32,6 +32,7 @@ from varchenko.varmatrix import (
 )
 from varchenko.witt import witt_sweep
 from corpus import all_subsets, sweep_arrangements
+from oracles import Polynomial
 
 PLANE_NAMES = ("r1", "crossing", "generic3", "parallel2", "two_pairs")
 

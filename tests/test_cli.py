@@ -1,11 +1,15 @@
 import json
+import math
+import time
 
 import pytest
 
-from varchenko.cli import main, parse_expected_product
+from varchenko import cli
+from varchenko.cli import build_parser, main, parse_expected_product
 from varchenko.files import bundled_text
-from varchenko.polyring import Polynomial, VarId
+from varchenko.polyring import VarId
 from varchenko.geometry import PLUS, MINUS
+from oracles import Polynomial
 
 PAPER_PRODUCT = "(1 - h2^+ h2^-)^2 (1 - h3^+ h3^-)^2 (1 - h4^+ h4^-)^3"
 
@@ -407,3 +411,37 @@ def test_parse_expected_product():
         parse_expected_product("garbage", 8)
     with pytest.raises(ValueError):
         parse_expected_product("(1 - h1^+ h1^-)^2 junk", 8)
+
+
+def test_detfile_cost_does_not_grow_with_declared_hyperplanes(tmp_path, capsys):
+    # A variable that occurs in no entry splits no row group, reduces no
+    # row and is never printed, so declaring 10,000 hyperplanes instead of
+    # 4 changes neither the output nor, much, the CPU time.
+    text = bundled_text("two_pairs_apartment.vmx")
+    assert "vmatrix 6 4\n" in text
+    small, big = tmp_path / "small.vmx", tmp_path / "big.vmx"
+    small.write_text(text)
+    big.write_text(text.replace("vmatrix 6 4\n", "vmatrix 6 10000\n"))
+
+    def cpu_seconds(path):
+        best = math.inf
+        for _ in range(5):
+            started = time.process_time()
+            assert main(["detfile", str(path), "--expected", PAPER_PRODUCT]) == 0
+            best = min(best, time.process_time() - started)
+        return best, capsys.readouterr().out
+
+    small_s, small_out = cpu_seconds(small)
+    big_s, big_out = cpu_seconds(big)
+    assert big_out == small_out and "verified: True" in big_out
+    assert big_s <= 5 * small_s, (big_s, small_s)
+
+
+def test_mode_help_names_the_symbolic_threshold(monkeypatch, capsys):
+    # the help is built from the threshold, so it follows a change to it
+    monkeypatch.setattr(cli, "DEFAULT_SYMBOLIC_THRESHOLD", 17)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["varchenko", "--help"])
+    assert "auto picks symbolic up to 17 chambers" in " ".join(
+        capsys.readouterr().out.split()
+    )

@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from varchenko.faces import enumerate_faces
 from varchenko.files import (
     MAX_DIMENSION,
     ParseError,
@@ -125,6 +127,26 @@ def test_matrix_header_numbers_of_over_4300_digits():
         parse_matrix(f"vmatrix 1 {nines}\n1\n")
     matrix = parse_matrix(f"vmatrix {'0' * 5000}1 {'0' * 5000}1\n1\n")
     assert (matrix.size, matrix.nvars) == (1, 2)
+
+
+def test_matrix_parse_memory_follows_the_file_not_the_header():
+    # a grid of 3 + 4 lines has 4 x 5 = 20 chambers; entries are read
+    # sparsely, never as an exponent per declared ring variable
+    grid = parse_arrangement(
+        "dim 2\n" + "".join(f"1 0 {t}\n" for t in range(3))
+        + "".join(f"0 1 {t}\n" for t in range(4))
+    )
+    matrix = varchenko_matrix(enumerate_faces(grid).chambers())
+    assert matrix.size == 20
+    text = serialize_matrix(matrix, 10_000)
+    tracemalloc.start()
+    try:
+        parsed = parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (parsed.entries, parsed.nvars) == (matrix.entries, 20_000)
+    assert peak < 10 * 2**20, peak
 
 
 def test_one_by_one_matrix():

@@ -1,5 +1,5 @@
 """The half-space masks against the sign-vector oracles, and their behaviour
-when one hyperplane is reoriented."""
+when one hyperplane is reoriented or the hyperplanes are permuted."""
 
 from itertools import combinations
 
@@ -9,27 +9,35 @@ from hypothesis import given, settings, strategies as st
 from varchenko.apartments import enumerate_apartments
 from varchenko.euler import lemma_ch_check, lemma_chm_check
 from varchenko.faces import enumerate_faces, face_leq
+from varchenko.files import bundled_text, parse_arrangement
 from varchenko.geometry import ZERO, Arrangement, Hyperplane
-from varchenko.polyring import Polynomial, weight
+from varchenko.polyring import weight
 from varchenko.tits import opposite_through, tits_product, tits_semigroup_check
 from varchenko.varmatrix import (
     DEFAULT_SYMBOLIC_THRESHOLD,
     _chamber_trace,
+    beta_independence,
     det_symbolic,
     mad_recurrence_check,
+    product_formula,
     v,
     v_path_identity_check,
     varchenko_matrix,
+    verify_factorization,
 )
 from varchenko.witt import witt_lhs, witt_rhs, witt_sweep
 from conftest import BUNDLED
+from corpus import random_arrangement
 from oracles import (
+    Polynomial,
     chamber_trace,
     distance,
     faces_by_signs,
     leq_signs,
     mad_recurrence_violations,
     opposite_signs,
+    relabel,
+    relabel_polynomial,
     sign_product,
     v_path_violations,
     weight_of,
@@ -158,3 +166,47 @@ def test_reorienting_a_hyperplane_swaps_its_half_spaces(complexes, name):
         if symbolic:
             flipped_det = det_symbolic(varchenko_matrix(flipped.chambers()))
             assert flipped_det == _swap_variables(det, i)
+
+
+def _permute(arrangement, perm):
+    """The same arrangement with hyperplane i moved to position perm[i]."""
+    hyperplanes = [None] * arrangement.size
+    for i, hyperplane in enumerate(arrangement.hyperplanes):
+        hyperplanes[perm[i]] = hyperplane
+    return Arrangement(arrangement.dimension, hyperplanes)
+
+
+def _grouped_product(complex_):
+    faces = [f for f in complex_.faces if not f.is_chamber]
+    betas, mismatches = beta_independence(complex_, faces, complex_.chambers())
+    assert not mismatches
+    return product_formula(complex_, faces, betas).grouped()
+
+
+def _assert_permuting_relabels(arrangement, perm):
+    """Moving hyperplane i to position perm[i] renames h_i to h_perm[i] in
+    the determinant and in the product formula, and both still agree."""
+    original = enumerate_faces(arrangement)
+    permuted = enumerate_faces(_permute(arrangement, perm))
+    det = det_symbolic(varchenko_matrix(original.chambers()))
+    permuted_det = det_symbolic(varchenko_matrix(permuted.chambers()))
+    assert permuted_det == relabel_polynomial(det, perm)
+    assert dict(_grouped_product(permuted)) == {
+        relabel(mono, perm): k for mono, k in _grouped_product(original)
+    }
+    assert verify_factorization(original).status == "pass"
+    assert verify_factorization(permuted).status == "pass"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_permuting_hyperplanes_relabels_the_determinant(data):
+    m = data.draw(st.integers(1, 4))
+    arrangement = random_arrangement(data.draw(st.integers(0, 10**6)), n=2, m=m)
+    _assert_permuting_relabels(arrangement, data.draw(st.permutations(range(m))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.permutations(range(4)))
+def test_permuting_the_hyperplanes_of_r3_relabels_the_determinant(perm):
+    _assert_permuting_relabels(parse_arrangement(bundled_text("r3.arr")), perm)

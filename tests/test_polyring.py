@@ -3,14 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from varchenko.geometry import MINUS, PLUS, ZERO
 from varchenko.polyring import (
-    Polynomial,
     VarId,
-    eval_mod_p,
     format_polynomial,
+    format_terms,
     parse_polynomial,
+    read_terms,
     weight,
 )
-from oracles import zero_substitution
+from oracles import Polynomial, eval_mod_p, zero_substitution
 
 NV = 8
 
@@ -154,6 +154,19 @@ def test_parse_rejects_garbage():
         parse_polynomial("", NV)
     with pytest.raises(ValueError):
         parse_polynomial("1 * h0^+", NV)
+
+
+def test_read_terms_merges_sparse_terms_and_inverts_format_terms():
+    # a ring of a million variables costs nothing: terms hold only the
+    # variables that occur, like terms merge and zero exponents drop
+    text = "2 - 1 * h1^+ h3^-^2 + h3^-^2 h1^+ + 1 * h2^+^0 h1^-"
+    terms = read_terms(text, 10**6)
+    assert terms == [(2, {}), (1, {1: 1})]
+    assert format_terms(terms) == "2 + 1 * h1^-"
+    assert read_terms(format_terms(terms), 4) == terms
+    assert read_terms("0", 2) == [] and format_terms([]) == "0"
+    with pytest.raises(ValueError, match="outside ring"):
+        read_terms("1 * h3^+", 4)
 
 
 def test_zero_substitution():
