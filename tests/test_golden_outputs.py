@@ -1,6 +1,7 @@
 """Golden outputs: the sha256 of the stdout and the exit code of fixed CLI
-runs on the bundled files, run in process through `cli.main`. A change that
-must not alter any output shows here that it does not.
+runs on the bundled files and a few inline degenerate arrangements, run in
+process through `cli.main`. A change that must not alter any output shows
+here that it does not.
 
 After an intended output change, rewrite the digests with
 
@@ -24,6 +25,15 @@ from varchenko.files import bundled_text
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 ARRANGEMENTS = ("r1", "crossing", "generic3", "parallel2", "two_pairs", "r3")
 PAPER_PRODUCT = "(1 - h2^+ h2^-)^2 (1 - h3^+ h3^-)^2 (1 - h4^+ h4^-)^3"
+# Degenerate input the bundled files lack: parallel classes, concurrent
+# hyperplanes, a pencil of planes in R^3 (it fails lemma_chm by design) and
+# three points on the line.
+INLINE = {
+    "parallel_classes.arr": "dim 2\n1 0 0\n1 0 2\n0 1 0\n0 1 3\n1 1 1\n1 1 5\n",
+    "concurrent.arr": "dim 2\n1 0 0\n0 1 0\n1 1 0\n1 0 2\n1 -2 3\n",
+    "pencil3.arr": "dim 3\n1 0 0 0\n0 1 0 0\n1 1 0 0\n0 0 1 1\n0 0 1 -2\n",
+    "points1.arr": "dim 1\n1 0\n1 1\n2 1\n",
+}
 
 
 def commands():
@@ -54,6 +64,9 @@ def commands():
         ["detfile", "two_pairs_apartment.vmx", "--json", "--expected",
          "(1 - h2^+^3)^2 (1 - h3^+ h3^-)^2"]
     )
+    for path in INLINE:
+        yield f"faces {path} --json"
+        yield f"verify {path} --all --json"
 
 
 def run(command, directory: Path):
@@ -61,7 +74,7 @@ def run(command, directory: Path):
     argv = shlex.split(command)
     path = directory / argv[1]
     if not path.exists():
-        path.write_text(bundled_text(argv[1]))
+        path.write_text(INLINE.get(argv[1]) or bundled_text(argv[1]))
     argv[1] = str(path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
