@@ -15,9 +15,14 @@ The sign tuple stays for input and output: formatting, the + < 0 < - id
 order and `FaceComplex.find`.
 
 Enumeration is incremental: hyperplanes are inserted one at a time and every
-existing face is split into the feasible members of its three sign
-extensions. A brute-force enumerator over all 3^m sign vectors is kept as an
-independent oracle for the incremental algorithm.
+existing face is split into the nonempty members of its three sign
+extensions. Which faces the new hyperplane H meets, and where, comes from the
+faces of the earlier hyperplanes restricted to H, an arrangement of one
+dimension less enumerated by the same recursion: a face meets H in exactly
+one face of the restriction (Zaslavsky, *Facing up to arrangements*, 1975).
+Boundedness is read off the faces of the recession arrangement of the
+normals. Neither step solves an LP. A brute-force enumerator that LP-filters
+all 3^m sign vectors is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from .geometry import (
     SIGN_CHARS,
     SIGN_ORDER,
     ZERO,
-    _is_bounded_nonempty,
-    affine_rank,
+    Hyperplane,
     feasible_interior,
     side_of,
     transverse_direction,
@@ -97,7 +101,7 @@ class FaceComplex:
         self.by_half = {f.half: f for f in self.faces}
         self.chamber_ids = tuple(f.id for f in self.faces if f.is_chamber)
         self.min_dim = min((f.dim for f in self.faces), default=0)
-        self._bounded = {}
+        self._recession_masks = None  # see face_is_bounded
         self._closures = {}
         self._products = {}  # face id F -> ids of FG for every face G
         self._traces = {}  # (chamber id, hyperplane) -> trace face or None
@@ -121,19 +125,17 @@ class FaceComplex:
             return None
         return self.by_half.get(half_mask(enumerate(signs)))
 
-    def constraints_of(self, face: Face):
-        """(hyperplane, sign) pairs defining the face."""
-        return list(zip(self.arrangement.hyperplanes, face.signs))
-
     def face_is_bounded(self, face: Face) -> bool:
-        cached = self._bounded.get(face.id)
-        if cached is None:
-            constraints = self.constraints_of(face)
-            # An empty arrangement has the single unbounded face R^n; any
-            # other face is nonempty by construction, so no feasibility LP.
-            cached = bool(constraints) and _is_bounded_nonempty(constraints)
-            self._bounded[face.id] = cached
-        return cached
+        """Whether the face is bounded, that is its recession cone
+        {d : sign(a_h.d) is 0 or the face's sign on H_h} is {0}.
+
+        A nonzero d of that cone lies in a face G of the recession
+        arrangement with G.half a subset of face.half, and then so does a
+        minimal nonzero one, whose masks are computed once per complex.
+        """
+        if self._recession_masks is None:
+            self._recession_masks = _recession_masks(self.arrangement)
+        return all(mask & ~face.half for mask in self._recession_masks)
 
     def __repr__(self):
         return (
@@ -152,50 +154,129 @@ def enumerate_faces(arrangement) -> FaceComplex:
 
     Each partial face F, with a witness w in its relative interior, splits on
     the new hyperplane H into those of F & H+, F & H, F & H- that are
-    nonempty, each with a witness of its own. At most one exact LP decides
-    the split:
+    nonempty. The faces of the earlier hyperplanes restricted to H, found in
+    dimension n - 1 by the same recursion, name each F that meets H and give
+    a point z and the dimension of F & H. So no LP decides the split:
 
-    * w on H: no LP. If H's normal lies in the span of F's zero normals,
-      F lies inside H and only the 0 extension exists. Otherwise a direction
-      d along F crossing H gives the witnesses w + eps*d and w - eps*d.
-    * w off H: one LP for F & H. If it is empty, F stays on w's side.
-      Otherwise its point z witnesses 0, and z + eps*(z - w) the far side.
+    * F meets no restriction face: F stays on w's side.
+    * w off H: z witnesses F & H, and z + eps*(z - w) the far side.
+    * w on H: if F & H has the dimension of F, F lies inside H. Otherwise a
+      direction d along F crossing H gives the witnesses w +- eps*d.
 
     The step eps is half the shortest one at which a strict constraint of F
-    would change sign, so every new witness stays inside F.
+    would change sign, so every new witness stays inside F, and the side
+    pieces keep the dimension of F.
     """
-    n = arrangement.dimension
-    origin = tuple(Fraction(0) for _ in range(n))
-    partial = [((), origin)]
-    for k, hyper in enumerate(arrangement.hyperplanes):
-        prefix = arrangement.hyperplanes[:k]
-        grown = []
-        for signs, witness in partial:
-            constraints = list(zip(prefix, signs))
-            for point in _split_witnesses(constraints, witness, hyper):
-                grown.append((signs + (side_of(hyper, point),), point))
-        partial = grown
-    return _build_complex(arrangement, partial)
+    pieces = _face_pieces(arrangement.dimension, arrangement.hyperplanes)
+    pieces.sort(key=lambda piece: sign_key(piece[0]))
+    faces = [
+        Face(signs, dim, witness, face_id)
+        for face_id, (signs, witness, dim) in enumerate(pieces)
+    ]
+    return FaceComplex(arrangement, faces)
 
 
-def _split_witnesses(constraints, witness, hyper):
-    """One witness per nonempty piece of the face `constraints` cut by hyper."""
-    if hyper.value_at(witness) != 0:
-        base = feasible_interior(constraints + [(hyper, ZERO)])
-        if base is None:
-            return (witness,)
-        direction = tuple(z - w for z, w in zip(base, witness))
-        eps = _safe_step(constraints, base, direction)
-        return (witness, base, _move(base, direction, eps))
+def _face_pieces(n, hyperplanes):
+    """(signs, witness, dim) of every face of the hyperplanes in R^n; R^0
+    has the single face ()."""
+    partial = [((), (Fraction(0),) * n, n)]
+    for k, hyper in enumerate(hyperplanes):
+        prefix = hyperplanes[:k]
+        meets = _restriction(prefix, hyper)
+        partial = [
+            (signs + (sign,), point, piece_dim)
+            for signs, witness, dim in partial
+            for sign, point, piece_dim in _split(
+                list(zip(prefix, signs)), witness, dim, hyper, meets.get(signs)
+            )
+        ]
+    return partial
+
+
+def _restriction(prefix, hyper):
+    """{sign vector of F: (point of F & H, dim of F & H)} for every face F
+    of the prefix hyperplanes that meets H = hyper.
+
+    H is parametrised by the coordinates other than the first one, p, with
+    a nonzero coefficient. A prefix hyperplane parallel to H has one side on
+    all of H; the others restrict to hyperplanes of H, merged when equal.
+    """
+    a, b = hyper.normal, hyper.offset
+    p = next(i for i, x in enumerate(a) if x)
+    others = a[:p] + a[p + 1 :]
+    restricted = []
+    merged = {}  # normalized key -> index in restricted
+    places = []  # per prefix hyperplane: (index in restricted or None, sign)
+    for g in prefix:
+        ratio = g.normal[p] / a[p]
+        normal = tuple(c - ratio * x for c, x in zip(g.normal, a))
+        normal = normal[:p] + normal[p + 1 :]
+        offset = g.offset - ratio * b
+        if not any(normal):
+            places.append((None, PLUS if offset < 0 else MINUS))
+            continue
+        places.append(_merge(Hyperplane(normal, offset), restricted, merged))
+    meets = {}
+    for signs, point, dim in _face_pieces(len(others), restricted):
+        rest = sum(x * y for x, y in zip(others, point))
+        lifted = point[:p] + ((b - rest) / a[p],) + point[p:]
+        key = tuple(s if i is None else s * signs[i] for i, s in places)
+        meets[key] = (lifted, dim)
+    return meets
+
+
+def _merge(h, distinct, merged):
+    """(index in distinct, orientation) of the hyperplane equal to h as a
+    set, appending h to distinct when it is new; orientation is PLUS when
+    h has the same positive side, MINUS when the opposite."""
+    index = merged.setdefault(h.normalized_key(), len(distinct))
+    if index == len(distinct):
+        distinct.append(h)
+    lead = next(x for x in h.normal if x)
+    first = next(x for x in distinct[index].normal if x)
+    return index, PLUS if (lead > 0) == (first > 0) else MINUS
+
+
+def _split(constraints, witness, dim, hyper, meet):
+    """(sign on hyper, witness, dim) of each nonempty piece of the face
+    `constraints` cut by hyper; meet is (point, dim) of the face's
+    intersection with hyper, or None when they are disjoint."""
+    side = side_of(hyper, witness)
+    if meet is None:
+        return ((side, witness, dim),)
+    point, meet_dim = meet
+    if side != ZERO:
+        direction = tuple(z - w for z, w in zip(point, witness))
+        far = _move(point, direction, _safe_step(constraints, point, direction))
+        return ((side, witness, dim), (ZERO, point, meet_dim), (-side, far, dim))
+    if meet_dim == dim:
+        return ((ZERO, witness, dim),)
     zero_normals = [h.normal for h, s in constraints if s == ZERO]
     direction = transverse_direction(zero_normals, hyper.normal)
-    if direction is None:
-        return (witness,)
     eps = _safe_step(constraints, witness, direction)
-    return (
-        witness,
-        _move(witness, direction, eps),
-        _move(witness, direction, -eps),
+    ahead, behind = _move(witness, direction, eps), _move(witness, direction, -eps)
+    side = side_of(hyper, ahead)
+    return ((ZERO, witness, meet_dim), (side, ahead, dim), (-side, behind, dim))
+
+
+def _recession_masks(arrangement):
+    """Masks of the minimal nonzero faces of the recession arrangement, the
+    central arrangement {a_h.d = 0} of the distinct normals: its rays, or,
+    when the normals do not span R^n, their common null space, whose mask 0
+    makes every face unbounded. Parallel hyperplanes share one central
+    hyperplane, each with its orientation relative to it."""
+    central = []
+    merged = {}  # normalized key -> index in central
+    places = [
+        _merge(Hyperplane(h.normal, 0), central, merged)
+        for h in arrangement.hyperplanes
+    ]
+    faces = _face_pieces(arrangement.dimension, central)
+    lowest = max(1, min(dim for _, _, dim in faces))
+    return tuple(
+        half_mask((h, s * signs[i]) for h, (i, s) in enumerate(places))
+        for signs, _, dim in faces
+        if dim == lowest
     )
 
 
@@ -232,21 +313,6 @@ def brute_force_sign_vectors(arrangement):
     if not hyperplanes:
         found.add(())
     return found
-
-
-def _build_complex(arrangement, signed_witnesses) -> FaceComplex:
-    n = arrangement.dimension
-    ordered = sorted(signed_witnesses, key=lambda sw: sign_key(sw[0]))
-    faces = []
-    for face_id, (signs, witness) in enumerate(ordered):
-        zero_normals = [
-            arrangement.hyperplanes[i].normal
-            for i, s in enumerate(signs)
-            if s == ZERO
-        ]
-        dim = n - affine_rank(zero_normals)
-        faces.append(Face(signs, dim, witness, face_id))
-    return FaceComplex(arrangement, faces)
 
 
 def closure_faces(complex_, chamber_or_face):

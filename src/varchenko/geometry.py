@@ -144,14 +144,7 @@ def feasible_interior(constraints):
     t_plus, t_minus = 2 * n, 2 * n + 1
 
     def expand(coeffs, t_coef):
-        row = []
-        for a in coeffs:
-            row.append(a)
-        for a in coeffs:
-            row.append(-a)
-        row.append(_frac(t_coef))
-        row.append(_frac(-t_coef))
-        return row
+        return [*coeffs, *(-a for a in coeffs), _frac(t_coef), _frac(-t_coef)]
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for h, sign in constraints:
@@ -242,15 +235,6 @@ def is_bounded(constraints) -> bool:
     """
     if feasible_interior(constraints) is None:
         raise ValueError("constraint set is infeasible")
-    return _is_bounded_nonempty(constraints)
-
-
-def _is_bounded_nonempty(constraints) -> bool:
-    """`is_bounded` for a cell the caller knows to be nonempty.
-
-    Decides only whether the recession cone is {0}; on an empty cell the
-    answer is meaningless.
-    """
     n = constraints[0][0].dimension
     # Fast path: equality normals already span R^n, so the cell is a point.
     zero_normals = [h.normal for h, s in constraints if s == ZERO]

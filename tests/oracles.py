@@ -374,6 +374,119 @@ def mad_recurrence_violations(complex_, product=None):
     return {"checked": checked, "violations": violations}
 
 
+# -- face counts from the intersection poset ----------------------------------
+
+
+def _rank(rows) -> int:
+    """Rank over Q by fraction Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def intersection_poset(arrangement):
+    """{flat: dimension} of every nonempty intersection of hyperplanes, R^n
+    included, each flat named by the frozenset of hyperplanes containing it.
+
+    Built from exact ranks of [A | b] alone: a flat cut by a hyperplane not
+    containing it gives a flat when [A | b] and A keep equal ranks, and the
+    hyperplanes containing that flat are the rows in the span of its rows.
+    """
+    n = arrangement.dimension
+    rows = [tuple(h.normal) + (h.offset,) for h in arrangement.hyperplanes]
+    flats = {frozenset(): n}
+    frontier = [(frozenset(), [])]
+    while frontier:
+        grown = []
+        for contained, basis in frontier:
+            for g, row in enumerate(rows):
+                if g in contained:
+                    continue
+                cut = basis + [row]
+                rank = _rank(cut)
+                if _rank([r[:-1] for r in cut]) < rank:
+                    continue  # no common point
+                flat = frozenset(
+                    h for h, other in enumerate(rows)
+                    if _rank(cut + [other]) == rank
+                )
+                if flat not in flats:
+                    flats[flat] = n - rank
+                    grown.append((flat, cut))
+        frontier = grown
+    return flats
+
+
+def zaslavsky_face_counts(arrangement):
+    """(faces, bounded): the number of faces, and of bounded faces, of each
+    dimension 0..n, from the intersection poset alone (Zaslavsky, *Facing
+    up to arrangements*, Mem. AMS 154, 1975).
+
+    The faces of dimension k are the regions of the restrictions A^X to the
+    flats X of dimension k. A^X has the flats inside X as its poset and
+    characteristic polynomial chi_X(t) = sum of mu(X, Y) t^dim Y over them;
+    it has |chi_X(-1)| regions. When A^X is essential (its rank, dim X
+    minus the least dimension of a flat inside X, is dim X) it has
+    |chi_X(1)| bounded regions. Otherwise it has none: |chi_X(1)| then
+    counts relatively bounded regions, one for two parallel lines.
+    """
+    flats = intersection_poset(arrangement)
+    n = arrangement.dimension
+    order = sorted(flats, key=lambda x: -flats[x])
+    faces = [0] * (n + 1)
+    bounded = [0] * (n + 1)
+    for x in order:
+        mu = {}
+        for y in order:
+            if x <= y:
+                # every z already in mu with z <= y lies strictly below y
+                mu[y] = 1 if y == x else -sum(c for z, c in mu.items() if z <= y)
+        k = flats[x]
+        faces[k] += abs(sum(c * (-1) ** flats[y] for y, c in mu.items()))
+        if min(flats[y] for y in mu) == 0:
+            bounded[k] += abs(sum(mu.values()))
+    return faces, bounded
+
+
+def face_count_mismatches(expected, faces):
+    """How the (dim, bounded) pairs of an arrangement's faces disagree with
+    its `zaslavsky_face_counts`, expected, and with the Euler relations: the
+    sum of (-1)^dim over all faces is (-1)^n, and over the bounded faces 1
+    when there are any. Empty when they agree."""
+    expected_faces, expected_bounded = expected
+    n = len(expected_faces) - 1
+    counts = [0] * (n + 1)
+    bounded = [0] * (n + 1)
+    problems = []
+    for dim, is_bounded in faces:
+        if not 0 <= dim <= n:
+            problems.append(f"dimension {dim} outside 0..{n}")
+            continue
+        counts[dim] += 1
+        bounded[dim] += bool(is_bounded)
+    if counts != expected_faces:
+        problems.append(f"faces by dimension {counts}, expected {expected_faces}")
+    if bounded != expected_bounded:
+        problems.append(
+            f"bounded faces by dimension {bounded}, expected {expected_bounded}"
+        )
+    if sum((-1) ** k * c for k, c in enumerate(counts)) != (-1) ** n:
+        problems.append("Euler characteristic of all faces is not (-1)^n")
+    if any(bounded) and sum((-1) ** k * c for k, c in enumerate(bounded)) != 1:
+        problems.append("Euler characteristic of the bounded faces is not 1")
+    return problems
+
+
 # -- apartment and polynomial helpers used only by tests ----------------------
 
 

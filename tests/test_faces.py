@@ -1,10 +1,18 @@
+import contextlib
+import io
+import json
 import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import varchenko.faces as faces_module
+import varchenko.geometry as geometry
+from varchenko.cli import main
 from varchenko.faces import (
     brute_force_sign_vectors,
     centralization,
@@ -22,8 +30,10 @@ from varchenko.geometry import (
     Hyperplane,
     affine_rank,
     feasible_interior,
+    is_bounded,
     side_of,
 )
+from varchenko.lp import solve_lp
 from corpus import random_arrangement
 
 
@@ -226,76 +236,206 @@ def test_incremental_matches_brute_force_small_coefficients(arrangement):
 
 X = Hyperplane((F(1), F(0)), F(0))  # x = 0
 Y = Hyperplane((F(0), F(1)), F(0))  # y = 0
+DIAGONAL = Hyperplane((F(1), F(1)), F(0))  # x + y = 0
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Records the constraint list of every feasibility LP enumeration makes."""
+@contextlib.contextmanager
+def counted_lps():
+    """Records every exact LP solved through varchenko.geometry, which is
+    where feasible_interior and is_bounded call the simplex."""
     calls = []
 
-    def counting(constraints):
-        calls.append(constraints)
-        return feasible_interior(constraints)
+    def counting(*args):
+        calls.append(args)
+        return solve_lp(*args)
 
-    monkeypatch.setattr(faces_module, "feasible_interior", counting)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "solve_lp", counting)
+        yield calls
 
 
-def _split_signs(constraints, witness, hyper):
-    points = faces_module._split_witnesses(constraints, witness, hyper)
-    for point in points:
+def _split_pieces(constraints, witness, hyper):
+    """(sign on hyper, dim) of each piece the split step makes of the face
+    `constraints`, with its meet taken from the restriction to hyper. Every
+    new witness must lie in the face, on its piece's side."""
+    prefix = [h for h, _ in constraints]
+    signs = tuple(s for _, s in constraints)
+    zero_normals = [h.normal for h, s in constraints if s == ZERO]
+    dim = len(witness) - affine_rank(zero_normals)
+    with counted_lps() as calls:
+        meet = faces_module._restriction(prefix, hyper).get(signs)
+        pieces = faces_module._split(constraints, witness, dim, hyper, meet)
+    assert calls == []
+    for sign, point, _ in pieces:
         assert all(side_of(h, point) == s for h, s in constraints)
-    return sorted((side_of(hyper, p) for p in points), key=SIGN_ORDER.get)
+        assert side_of(hyper, point) == sign
+    return sorted(((sign, d) for sign, _, d in pieces), key=lambda p: SIGN_ORDER[p[0]])
 
 
-def test_split_face_inside_hyperplane(lp_calls):
-    # The vertex x = y = 0 lies on x + y = 0: only the 0 extension, no LP.
-    diagonal = Hyperplane((F(1), F(1)), F(0))
+def test_split_face_inside_hyperplane():
+    # The vertex x = y = 0 lies on x + y = 0: only the 0 extension.
     constraints = [(X, ZERO), (Y, ZERO)]
-    assert _split_signs(constraints, (F(0), F(0)), diagonal) == [ZERO]
-    assert lp_calls == []
+    assert _split_pieces(constraints, (F(0), F(0)), DIAGONAL) == [(ZERO, 0)]
 
 
-def test_split_witness_on_hyperplane_crossing(lp_calls):
-    # The segment y = 0, -1 < x < 1 with witness (0, 0) crosses x = 0; the
-    # side witnesses must stay strictly inside the segment, and no LP runs.
+def test_split_witness_on_hyperplane_crossing():
+    # The segment y = 0, -1 < x < 1 with witness (0, 0) crosses x = 0 in a
+    # vertex; the side witnesses must stay strictly inside the segment.
     left = Hyperplane((F(1), F(0)), F(-1))  # x = -1
     right = Hyperplane((F(1), F(0)), F(1))  # x = 1
     constraints = [(Y, ZERO), (left, PLUS), (right, MINUS)]
-    signs = _split_signs(constraints, (F(0), F(0)), X)
-    assert signs == [PLUS, ZERO, MINUS]
-    assert lp_calls == []
+    assert _split_pieces(constraints, (F(0), F(0)), X) == [
+        (PLUS, 1),
+        (ZERO, 0),
+        (MINUS, 1),
+    ]
 
 
-def test_split_witness_off_hyperplane(lp_calls):
-    # The half-plane y > 0 with witness (0, 1) crosses x = 1 (one LP, three
-    # pieces) and misses y = -1 (one LP, the witness's side only).
+def test_split_witness_off_hyperplane():
+    # The half-plane y > 0 with witness (0, 1) crosses x = 1 in a ray (three
+    # pieces) and misses y = -1 (the witness's side only).
     crossing = Hyperplane((F(1), F(0)), F(1))
     below = Hyperplane((F(0), F(1)), F(-1))
     constraints = [(Y, PLUS)]
-    assert _split_signs(constraints, (F(0), F(1)), crossing) == [
-        PLUS,
-        ZERO,
-        MINUS,
+    assert _split_pieces(constraints, (F(0), F(1)), crossing) == [
+        (PLUS, 2),
+        (ZERO, 1),
+        (MINUS, 2),
     ]
-    assert _split_signs(constraints, (F(0), F(1)), below) == [PLUS]
-    assert len(lp_calls) == 2
+    assert _split_pieces(constraints, (F(0), F(1)), below) == [(PLUS, 2)]
 
 
-def test_at_most_one_lp_per_face_and_hyperplane(lp_calls, complexes):
-    for name in ("two_pairs", "r3"):
-        arrangement = complexes[name].arrangement
-        lp_calls.clear()
-        enumerate_faces(arrangement)
-        pairs = [
-            (tuple(constraints[:-1]), constraints[-1])
-            for constraints in lp_calls
-        ]
-        assert all(last[1] == ZERO for _, last in pairs)
-        assert len(set(pairs)) == len(pairs)
-        n, hyperplanes = arrangement.dimension, arrangement.hyperplanes
-        partial_faces = sum(
-            len(enumerate_faces(Arrangement(n, hyperplanes[:k])).faces)
-            for k in range(len(hyperplanes))
+def _restriction_dims(prefix, hyper):
+    """{prefix sign vector: dim} of the restriction of prefix to hyper,
+    checking that every lifted witness lies on hyper with those signs."""
+    meets = faces_module._restriction(prefix, hyper)
+    for signs, (point, _) in meets.items():
+        assert side_of(hyper, point) == ZERO
+        assert tuple(side_of(h, point) for h in prefix) == signs
+    return {signs: dim for signs, (_, dim) in meets.items()}
+
+
+def test_restriction_parallel_prefix_hyperplane():
+    # y = 0 is parallel to y = 1, which lies wholly on its + side.
+    assert _restriction_dims([Y], Hyperplane((F(0), F(1)), F(1))) == {
+        (PLUS,): 1
+    }
+
+
+def test_restriction_merges_opposite_orientations():
+    # On x + y = 0, both x = 0 and y = 0 restrict to the origin of the line,
+    # with opposite positive sides: x > 0 there means y < 0.
+    assert _restriction_dims([X, Y], DIAGONAL) == {
+        (MINUS, PLUS): 1,
+        (ZERO, ZERO): 0,
+        (PLUS, MINUS): 1,
+    }
+
+
+def test_restriction_in_dimension_one_is_a_point():
+    # 2x = 1 on the line is the point 1/2, between x = 0 and x = 1.
+    zero, one = Hyperplane((F(1),), F(0)), Hyperplane((F(1),), F(1))
+    meets = faces_module._restriction([zero, one], Hyperplane((F(2),), F(1)))
+    assert meets == {(PLUS, MINUS): ((F(1, 2),), 0)}
+
+
+def _build_and_bound(arrangement):
+    complex_ = enumerate_faces(arrangement)
+    return [complex_.face_is_bounded(f) for f in complex_.faces]
+
+
+def test_lp_counter_sees_the_simplex():
+    with counted_lps() as calls:
+        feasible_interior([(X, PLUS)])
+        is_bounded([(X, PLUS), (Y, PLUS)])
+    assert len(calls) >= 2
+
+
+def test_face_complex_solves_no_lp(complexes):
+    with counted_lps() as calls:
+        for complex_ in complexes.values():
+            _build_and_bound(complex_.arrangement)
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_arrangements(1, 4), _arrangements(2, 6), _arrangements(3, 5)))
+def test_face_complex_solves_no_lp_sampled(arrangement):
+    with counted_lps() as calls:
+        _build_and_bound(arrangement)
+    assert calls == []
+
+
+def _inverse(matrix):
+    """Inverse of an invertible square matrix over Q, by Gauss-Jordan."""
+    n = len(matrix)
+    rows = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                rows[i] = [v - rows[i][col] * p for v, p in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _affine_image(arrangement, matrix, shift):
+    """The arrangement moved by x -> matrix x + shift: a.x = b becomes
+    (a M^-1).y = b + (a M^-1).shift, with every side kept."""
+    inverse = _inverse(matrix)
+    n = arrangement.dimension
+    moved = []
+    for h in arrangement.hyperplanes:
+        normal = tuple(
+            sum(h.normal[i] * inverse[i][j] for i in range(n)) for j in range(n)
         )
-        assert len(pairs) <= partial_faces
+        offset = h.offset + sum(a * t for a, t in zip(normal, shift))
+        moved.append(Hyperplane(normal, offset))
+    return Arrangement(n, moved)
+
+
+def _faces_json_rows(arrangement):
+    text = f"dim {arrangement.dimension}\n" + "".join(
+        " ".join(str(v) for v in (*h.normal, h.offset)) + "\n"
+        for h in arrangement.hyperplanes
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "moved.arr"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["faces", str(path), "--json"]) == 0
+    return json.loads(out.getvalue())["faces"]
+
+
+@st.composite
+def _affine_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.integers(-3, 3).map(F)
+    matrix = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        .filter(lambda m: sympy.Matrix(m).det() != 0)
+    )
+    shift = draw(
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n)
+    )
+    arrangement = draw(_arrangements(n, 6 if n == 2 else 5))
+    return arrangement, matrix, shift
+
+
+@settings(max_examples=40, deadline=None)
+@given(_affine_cases())
+def test_faces_invariant_under_affine_maps(case):
+    # The restriction eliminates the first coordinate with a nonzero
+    # coefficient, and an affine map changes which one that is at each step.
+    arrangement, matrix, shift = case
+    moved = _affine_image(arrangement, matrix, shift)
+    before, after = enumerate_faces(arrangement), enumerate_faces(moved)
+    assert [(f.signs, f.dim) for f in before.faces] == [
+        (f.signs, f.dim) for f in after.faces
+    ]
+    assert [before.face_is_bounded(f) for f in before.faces] == [
+        after.face_is_bounded(f) for f in after.faces
+    ]
+    assert _faces_json_rows(arrangement) == _faces_json_rows(moved)
