@@ -39,22 +39,33 @@ def family_arrangement(seed, n, m):
     return Arrangement(n, hyperplanes)
 
 
+# (n, m, coefficient bound); bound 1 makes parallel and concurrent
+# hyperplanes common
 DRAWS = {
-    **{f"random-r2-m{m}": (0, 2, m) for m in (6, 9, 12)},
-    **{f"random-r3-m{m}": (0, 3, m) for m in (5, 8)},
-    **{f"random-r4-m{m}": (0, 4, m) for m in (5, 7)},
-    "random-r2-m10-small": (1, 2, 10),
-    "random-r3-m8-small": (1, 3, 8),
+    **{f"random-r2-m{m}": (2, m, 5) for m in (6, 9, 12)},
+    **{f"random-r3-m{m}": (3, m, 5) for m in (5, 8)},
+    **{f"random-r4-m{m}": (4, m, 5) for m in (5, 7)},
+    "random-r2-m10-small": (2, 10, 1),
+    "random-r3-m8-small": (3, 8, 1),
 }
 FAMILIES = {f"family-r{n}-m{m}": (n, m) for n, m in ((2, 10), (3, 8), (4, 6))}
+# normals of rank at most n - 2, where no face is bounded and the recession
+# arrangement has no rays
+LOW_RANK = {
+    "empty-r2": (2, []),
+    "parallel-planes-r3": (3, [((0, 0, 1), 0), ((0, 0, 2), 1), ((0, 0, -1), 3)]),
+    "parallel-hyperplanes-r4": (4, [((1, 1, 0, 0), 0), ((2, 2, 0, 0), 1)]),
+}
 
 
 def _arrangement(name):
+    if name in LOW_RANK:
+        n, rows = LOW_RANK[name]
+        return Arrangement(n, [Hyperplane(a, b) for a, b in rows])
     if name in FAMILIES:
         return family_arrangement(name, *FAMILIES[name])
-    bound, n, m = DRAWS[name]
-    # bound 1 draws coefficients in [-1, 1]: parallel and concurrent galore
-    return random_arrangement(name, n=n, m=m, coeff_bound=bound or 5)
+    n, m, bound = DRAWS[name]
+    return random_arrangement(name, n=n, m=m, coeff_bound=bound)
 
 
 def _faces(arrangement):
@@ -62,7 +73,7 @@ def _faces(arrangement):
     return [(f.dim, complex_.face_is_bounded(f)) for f in complex_.faces]
 
 
-@pytest.mark.parametrize("name", [*DRAWS, *FAMILIES])
+@pytest.mark.parametrize("name", [*DRAWS, *FAMILIES, *LOW_RANK])
 def test_face_counts_match_zaslavsky(name):
     arrangement = _arrangement(name)
     expected = zaslavsky_face_counts(arrangement)

@@ -366,33 +366,17 @@ def test_face_complex_solves_no_lp_sampled(arrangement):
     assert calls == []
 
 
-def _inverse(matrix):
-    """Inverse of an invertible square matrix over Q, by Gauss-Jordan."""
-    n = len(matrix)
-    rows = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if rows[i][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                rows[i] = [v - rows[i][col] * p for v, p in zip(rows[i], rows[col])]
-    return [row[n:] for row in rows]
-
-
 def _affine_image(arrangement, matrix, shift):
     """The arrangement moved by x -> matrix x + shift: a.x = b becomes
     (a M^-1).y = b + (a M^-1).shift, with every side kept."""
-    inverse = _inverse(matrix)
-    n = arrangement.dimension
+    inverse = sympy.Matrix(matrix).inv()
     moved = []
     for h in arrangement.hyperplanes:
-        normal = tuple(
-            sum(h.normal[i] * inverse[i][j] for i in range(n)) for j in range(n)
-        )
+        row = sympy.Matrix([h.normal]) * inverse
+        normal = tuple(F(int(v.p), int(v.q)) for v in row)
         offset = h.offset + sum(a * t for a, t in zip(normal, shift))
         moved.append(Hyperplane(normal, offset))
-    return Arrangement(n, moved)
+    return Arrangement(arrangement.dimension, moved)
 
 
 def _faces_json_rows(arrangement):
