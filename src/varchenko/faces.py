@@ -21,13 +21,19 @@ faces of the earlier hyperplanes restricted to H, an arrangement of one
 dimension less enumerated by the same recursion: a face meets H in exactly
 one face of the restriction (Zaslavsky, *Facing up to arrangements*, 1975).
 Boundedness is read off the faces of the recession arrangement of the
-normals. Neither step solves an LP. A brute-force enumerator that LP-filters
-all 3^m sign vectors is kept as an independent oracle.
+normals. Neither step solves an LP, and neither uses Fractions: the
+recursion runs on primitive integer hyperplanes and on points in homogeneous
+integer coordinates, with common factors divided out as it goes, in the
+integer-preserving spirit of Bareiss (1968). Input and witnesses stay
+rational. A brute-force enumerator that LP-filters all 3^m sign vectors is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .geometry import (
     MINUS,
@@ -35,9 +41,7 @@ from .geometry import (
     SIGN_CHARS,
     SIGN_ORDER,
     ZERO,
-    Hyperplane,
     feasible_interior,
-    side_of,
     transverse_direction,
 )
 
@@ -166,20 +170,59 @@ def enumerate_faces(arrangement) -> FaceComplex:
     The step eps is half the shortest one at which a strict constraint of F
     would change sign, so every new witness stays inside F, and the side
     pieces keep the dimension of F.
+
+    The recursion is fraction-free: it runs on primitive integer hyperplanes
+    and on points in homogeneous integer coordinates (x_1, ..., x_n, d),
+    d > 0, standing for x/d, and only the witnesses it returns are turned
+    back into Fractions.
     """
-    pieces = _face_pieces(arrangement.dimension, arrangement.hyperplanes)
+    hyperplanes = [_integer(h) for h in arrangement.hyperplanes]
+    pieces = _face_pieces(arrangement.dimension, hyperplanes)
     pieces.sort(key=lambda piece: sign_key(piece[0]))
     faces = [
-        Face(signs, dim, witness, face_id)
-        for face_id, (signs, witness, dim) in enumerate(pieces)
+        Face(signs, dim, _rational(point), face_id)
+        for face_id, (signs, point, dim) in enumerate(pieces)
     ]
     return FaceComplex(arrangement, faces)
 
 
+def _integer(hyperplane):
+    """The hyperplane as a primitive integer pair (normal, offset): a
+    positive multiple of it, so with the same sides, whose entries have
+    gcd 1."""
+    row = (*hyperplane.normal, hyperplane.offset)
+    scale = lcm(*(c.denominator for c in row))
+    row = _primitive([c.numerator * (scale // c.denominator) for c in row])
+    return row[:-1], row[-1]
+
+
+def _rational(point):
+    """The Fraction coordinates of a homogeneous integer point."""
+    d = point[-1]
+    return tuple(Fraction(x, d) for x in point[:-1])
+
+
+def _primitive(values):
+    """Integer tuple values divided by the gcd of its entries."""
+    g = gcd(*values)
+    return tuple(v // g for v in values) if g > 1 else tuple(values)
+
+
+def _value(hyper, point):
+    """a.x - b*d: a positive multiple of the hyperplane's value at x/d."""
+    normal, offset = hyper
+    return sum(map(mul, normal, point)) - offset * point[-1]
+
+
+def _side(hyper, point):
+    value = _value(hyper, point)
+    return PLUS if value > 0 else MINUS if value < 0 else ZERO
+
+
 def _face_pieces(n, hyperplanes):
-    """(signs, witness, dim) of every face of the hyperplanes in R^n; R^0
-    has the single face ()."""
-    partial = [((), (Fraction(0),) * n, n)]
+    """(signs, witness, dim) of every face of the integer hyperplanes in
+    R^n, with homogeneous witnesses; R^0 has the single face ()."""
+    partial = [((), (0,) * n + (1,), n)]
     for k, hyper in enumerate(hyperplanes):
         prefix = hyperplanes[:k]
         meets = _restriction(prefix, hyper)
@@ -198,65 +241,95 @@ def _restriction(prefix, hyper):
     of the prefix hyperplanes that meets H = hyper.
 
     H is parametrised by the coordinates other than the first one, p, with
-    a nonzero coefficient. A prefix hyperplane parallel to H has one side on
-    all of H; the others restrict to hyperplanes of H, merged when equal.
+    a nonzero coefficient a_p. Eliminating x_p turns a prefix hyperplane g
+    into |a_p|*g - sign(a_p)*g_p*hyper, a positive multiple of g on H. One
+    parallel to H has one side on all of H; the others restrict to
+    hyperplanes of H, merged when equal.
     """
-    a, b = hyper.normal, hyper.offset
+    a, b = hyper
     p = next(i for i, x in enumerate(a) if x)
+    scale, sign = abs(a[p]), (1 if a[p] > 0 else -1)
     others = a[:p] + a[p + 1 :]
-    restricted = []
-    merged = {}  # normalized key -> index in restricted
-    places = []  # per prefix hyperplane: (index in restricted or None, sign)
-    for g in prefix:
-        ratio = g.normal[p] / a[p]
-        normal = tuple(c - ratio * x for c, x in zip(g.normal, a))
-        normal = normal[:p] + normal[p + 1 :]
-        offset = g.offset - ratio * b
+    merged = {}  # distinct restricted hyperplane -> its index
+    places = []  # per prefix hyperplane: (index in merged or None, sign)
+    for normal, offset in prefix:
+        factor = sign * normal[p]
+        normal = [scale * c - factor * x for c, x in zip(normal, a)]
+        del normal[p]
+        offset = scale * offset - factor * b
         if not any(normal):
             places.append((None, PLUS if offset < 0 else MINUS))
             continue
-        places.append(_merge(Hyperplane(normal, offset), restricted, merged))
+        places.append(_merge((normal, offset), merged))
     meets = {}
-    for signs, point, dim in _face_pieces(len(others), restricted):
-        rest = sum(x * y for x, y in zip(others, point))
-        lifted = point[:p] + ((b - rest) / a[p],) + point[p:]
+    for signs, point, dim in _face_pieces(len(others), list(merged)):
+        lifted = [scale * x for x in point]
+        lifted.insert(p, sign * (b * point[-1] - sum(map(mul, others, point))))
         key = tuple(s if i is None else s * signs[i] for i, s in places)
-        meets[key] = (lifted, dim)
+        meets[key] = (_primitive(lifted), dim)
     return meets
 
 
-def _merge(h, distinct, merged):
-    """(index in distinct, orientation) of the hyperplane equal to h as a
-    set, appending h to distinct when it is new; orientation is PLUS when
-    h has the same positive side, MINUS when the opposite."""
-    index = merged.setdefault(h.normalized_key(), len(distinct))
-    if index == len(distinct):
-        distinct.append(h)
-    lead = next(x for x in h.normal if x)
-    first = next(x for x in distinct[index].normal if x)
-    return index, PLUS if (lead > 0) == (first > 0) else MINUS
+def _merge(hyper, merged):
+    """(index, orientation) of the integer hyperplane among the distinct
+    ones, the keys of merged: each primitive with a positive leading
+    coefficient, and added when new. Orientation is PLUS when hyper has
+    the key's positive side, MINUS when the opposite."""
+    normal, offset = hyper
+    lead = next(x for x in normal if x)
+    g = gcd(*normal, offset)
+    if lead < 0:
+        g = -g
+    key = (tuple(x // g for x in normal), offset // g)
+    return merged.setdefault(key, len(merged)), PLUS if lead > 0 else MINUS
 
 
 def _split(constraints, witness, dim, hyper, meet):
     """(sign on hyper, witness, dim) of each nonempty piece of the face
     `constraints` cut by hyper; meet is (point, dim) of the face's
-    intersection with hyper, or None when they are disjoint."""
-    side = side_of(hyper, witness)
+    intersection with hyper, or None when they are disjoint. Hyperplanes
+    and points are in integer form; a direction is an integer tuple with
+    last entry 0 and a positive scale s, standing for the vector
+    direction/s."""
+    side = _side(hyper, witness)
     if meet is None:
         return ((side, witness, dim),)
     point, meet_dim = meet
     if side != ZERO:
-        direction = tuple(z - w for z, w in zip(point, witness))
-        far = _move(point, direction, _safe_step(constraints, point, direction))
+        # z - w = (d_w*x_z - d_z*x_w) / (d_z*d_w)
+        d_z, d_w = point[-1], witness[-1]
+        direction = [d_w * z - d_z * w for z, w in zip(point, witness)]
+        u, v = _step(constraints, point, direction, d_z * d_w)
+        far = _primitive([u * x + v * y for x, y in zip(point, direction)])
         return ((side, witness, dim), (ZERO, point, meet_dim), (-side, far, dim))
     if meet_dim == dim:
         return ((ZERO, witness, dim),)
-    zero_normals = [h.normal for h, s in constraints if s == ZERO]
-    direction = transverse_direction(zero_normals, hyper.normal)
-    eps = _safe_step(constraints, witness, direction)
-    ahead, behind = _move(witness, direction, eps), _move(witness, direction, -eps)
-    side = side_of(hyper, ahead)
+    zero_normals = [h[0] for h, s in constraints if s == ZERO]
+    rational = transverse_direction(zero_normals, hyper[0])
+    scale = lcm(*(x.denominator for x in rational))
+    direction = [x.numerator * (scale // x.denominator) for x in rational] + [0]
+    u, v = _step(constraints, witness, direction, scale)
+    ahead = _primitive([u * x + v * y for x, y in zip(witness, direction)])
+    behind = _primitive([u * x - v * y for x, y in zip(witness, direction)])
+    side = _side(hyper, ahead)
     return ((ZERO, witness, meet_dim), (side, ahead, dim), (-side, behind, dim))
+
+
+def _step(constraints, point, direction, scale):
+    """Weights (u, v) making u*point +- v*direction the points
+    x/d +- eps*direction/scale, where point is (x, d) and eps is half the
+    shortest step at which a strict constraint reaches its hyperplane, or
+    1 if none ever does, giving (u, v) = (scale, d). Along h, with value c
+    at point and slope t = a.direction, that step is |c|*scale / (|t|*d),
+    so the shortest one minimises |c|/|t|, compared by cross-multiplication,
+    and gives (u, v) = (2|t|, |c|)."""
+    best = None
+    for h, s in constraints:
+        if s != ZERO and (slope := sum(map(mul, h[0], direction))):
+            value, slope = abs(_value(h, point)), 2 * abs(slope)
+            if best is None or value * best[0] < best[1] * slope:
+                best = slope, value
+    return best or (scale, point[-1])
 
 
 def _recession_masks(arrangement):
@@ -265,35 +338,18 @@ def _recession_masks(arrangement):
     when the normals do not span R^n, their common null space, whose mask 0
     makes every face unbounded. Parallel hyperplanes share one central
     hyperplane, each with its orientation relative to it."""
-    central = []
-    merged = {}  # normalized key -> index in central
+    merged = {}  # distinct central hyperplane -> its index
     places = [
-        _merge(Hyperplane(h.normal, 0), central, merged)
-        for h in arrangement.hyperplanes
+        _merge((normal, 0), merged)
+        for normal, _ in map(_integer, arrangement.hyperplanes)
     ]
-    faces = _face_pieces(arrangement.dimension, central)
+    faces = _face_pieces(arrangement.dimension, list(merged))
     lowest = max(1, min(dim for _, _, dim in faces))
     return tuple(
         half_mask((h, s * signs[i]) for h, (i, s) in enumerate(places))
         for signs, _, dim in faces
         if dim == lowest
     )
-
-
-def _safe_step(constraints, point, direction):
-    """Half the shortest step from point along +-direction that would bring
-    a strict constraint to its hyperplane; 1 if none ever does."""
-    steps = [
-        abs(h.value_at(point) / slope)
-        for h, s in constraints
-        if s != ZERO
-        and (slope := sum(a * d for a, d in zip(h.normal, direction))) != 0
-    ]
-    return min(steps) / 2 if steps else Fraction(1)
-
-
-def _move(point, direction, step):
-    return tuple(x + step * d for x, d in zip(point, direction))
 
 
 def brute_force_sign_vectors(arrangement):

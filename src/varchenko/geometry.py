@@ -1,8 +1,9 @@
 """Exact geometry of affine hyperplanes: sides, feasibility, rank, boundedness.
 
-Coordinates and coefficients are `fractions.Fraction` throughout. The sign
-convention is global: for a hyperplane with normal a and offset b, the open
-half-space H+ is {x : a.x > b} and H- is {x : a.x < b}.
+Coordinates and coefficients here are `fractions.Fraction`; the face
+recursion in `faces` converts them once to integers and works fraction-free.
+The sign convention is global: for a hyperplane with normal a and offset b,
+the open half-space H+ is {x : a.x > b} and H- is {x : a.x < b}.
 """
 
 from __future__ import annotations

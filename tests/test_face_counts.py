@@ -1,14 +1,16 @@
 """Face counts of `enumerate_faces` and `face_is_bounded` against
 Zaslavsky's counts from the intersection poset, on arrangements past the
-reach of the 3^m brute force. The oracle uses exact ranks only, no LP."""
+reach of the 3^m brute force and on ones with large fractional
+coefficients. The oracle uses exact ranks only, no LP."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varchenko.faces import enumerate_faces
-from varchenko.geometry import Arrangement, Hyperplane
+from varchenko.faces import brute_force_sign_vectors, enumerate_faces
+from varchenko.geometry import Arrangement, Hyperplane, side_of
 from corpus import random_arrangement
 from oracles import face_count_mismatches, zaslavsky_face_counts
 
@@ -78,6 +80,32 @@ def test_face_counts_match_zaslavsky(name):
     arrangement = _arrangement(name)
     expected = zaslavsky_face_counts(arrangement)
     assert face_count_mismatches(expected, _faces(arrangement)) == []
+
+
+def _wide_arrangements(n):
+    """Up to six hyperplanes in R^n with coefficients p/q, |p| <= 10^12 and
+    1 <= q <= 10^6, so leading coefficients of either sign and numerators
+    and denominators far past machine words."""
+    coeff = st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+    hyperplane = st.builds(Hyperplane, st.tuples(*[coeff] * n).filter(any), coeff)
+    return st.lists(
+        hyperplane, min_size=1, max_size=6, unique_by=lambda h: h.normalized_key()
+    ).map(lambda hs: Arrangement(n, hs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_wide_arrangements(2), _wide_arrangements(3)))
+def test_large_fractional_coefficients(arrangement):
+    complex_ = enumerate_faces(arrangement)
+    faces = [(f.dim, complex_.face_is_bounded(f)) for f in complex_.faces]
+    expected = zaslavsky_face_counts(arrangement)
+    assert face_count_mismatches(expected, faces) == []
+    for face in complex_.faces:
+        realised = tuple(side_of(h, face.witness) for h in arrangement.hyperplanes)
+        assert realised == face.signs
+    if arrangement.size <= 4:
+        signs = {f.signs for f in complex_.faces}
+        assert signs == brute_force_sign_vectors(arrangement)
 
 
 def test_zaslavsky_counts_of_small_examples():

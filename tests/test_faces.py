@@ -256,17 +256,24 @@ def counted_lps():
 
 def _split_pieces(constraints, witness, hyper):
     """(sign on hyper, dim) of each piece the split step makes of the face
-    `constraints`, with its meet taken from the restriction to hyper. Every
-    new witness must lie in the face, on its piece's side."""
-    prefix = [h for h, _ in constraints]
+    `constraints`, with its meet taken from the restriction to hyper. The
+    hyperplanes go through the module's integer converter, and the witness
+    is given in homogeneous integer coordinates (x_1, ..., x_n, d). Every
+    new witness, turned back into Fractions, must lie in the face, on its
+    piece's side."""
+    integer = faces_module._integer
+    prefix = [integer(h) for h, _ in constraints]
     signs = tuple(s for _, s in constraints)
     zero_normals = [h.normal for h, s in constraints if s == ZERO]
-    dim = len(witness) - affine_rank(zero_normals)
+    dim = len(witness) - 1 - affine_rank(zero_normals)
     with counted_lps() as calls:
-        meet = faces_module._restriction(prefix, hyper).get(signs)
-        pieces = faces_module._split(constraints, witness, dim, hyper, meet)
+        meet = faces_module._restriction(prefix, integer(hyper)).get(signs)
+        pieces = faces_module._split(
+            list(zip(prefix, signs)), witness, dim, integer(hyper), meet
+        )
     assert calls == []
     for sign, point, _ in pieces:
+        point = faces_module._rational(point)
         assert all(side_of(h, point) == s for h, s in constraints)
         assert side_of(hyper, point) == sign
     return sorted(((sign, d) for sign, _, d in pieces), key=lambda p: SIGN_ORDER[p[0]])
@@ -275,7 +282,7 @@ def _split_pieces(constraints, witness, hyper):
 def test_split_face_inside_hyperplane():
     # The vertex x = y = 0 lies on x + y = 0: only the 0 extension.
     constraints = [(X, ZERO), (Y, ZERO)]
-    assert _split_pieces(constraints, (F(0), F(0)), DIAGONAL) == [(ZERO, 0)]
+    assert _split_pieces(constraints, (0, 0, 1), DIAGONAL) == [(ZERO, 0)]
 
 
 def test_split_witness_on_hyperplane_crossing():
@@ -284,7 +291,7 @@ def test_split_witness_on_hyperplane_crossing():
     left = Hyperplane((F(1), F(0)), F(-1))  # x = -1
     right = Hyperplane((F(1), F(0)), F(1))  # x = 1
     constraints = [(Y, ZERO), (left, PLUS), (right, MINUS)]
-    assert _split_pieces(constraints, (F(0), F(0)), X) == [
+    assert _split_pieces(constraints, (0, 0, 1), X) == [
         (PLUS, 1),
         (ZERO, 0),
         (MINUS, 1),
@@ -297,22 +304,33 @@ def test_split_witness_off_hyperplane():
     crossing = Hyperplane((F(1), F(0)), F(1))
     below = Hyperplane((F(0), F(1)), F(-1))
     constraints = [(Y, PLUS)]
-    assert _split_pieces(constraints, (F(0), F(1)), crossing) == [
+    assert _split_pieces(constraints, (0, 1, 1), crossing) == [
         (PLUS, 2),
         (ZERO, 1),
         (MINUS, 2),
     ]
-    assert _split_pieces(constraints, (F(0), F(1)), below) == [(PLUS, 2)]
+    assert _split_pieces(constraints, (0, 1, 1), below) == [(PLUS, 2)]
 
 
-def _restriction_dims(prefix, hyper):
-    """{prefix sign vector: dim} of the restriction of prefix to hyper,
-    checking that every lifted witness lies on hyper with those signs."""
-    meets = faces_module._restriction(prefix, hyper)
+def _restriction_meets(prefix, hyper):
+    """{prefix sign vector: (Fraction witness, dim)} of the restriction of
+    prefix to hyper, computed on the module's integer form, checking that
+    every lifted witness lies on hyper with those signs."""
+    integer = faces_module._integer
+    meets = {
+        signs: (faces_module._rational(point), dim)
+        for signs, (point, dim) in faces_module._restriction(
+            [integer(h) for h in prefix], integer(hyper)
+        ).items()
+    }
     for signs, (point, _) in meets.items():
         assert side_of(hyper, point) == ZERO
         assert tuple(side_of(h, point) for h in prefix) == signs
-    return {signs: dim for signs, (_, dim) in meets.items()}
+    return meets
+
+
+def _restriction_dims(prefix, hyper):
+    return {signs: dim for signs, (_, dim) in _restriction_meets(prefix, hyper).items()}
 
 
 def test_restriction_parallel_prefix_hyperplane():
@@ -335,8 +353,41 @@ def test_restriction_merges_opposite_orientations():
 def test_restriction_in_dimension_one_is_a_point():
     # 2x = 1 on the line is the point 1/2, between x = 0 and x = 1.
     zero, one = Hyperplane((F(1),), F(0)), Hyperplane((F(1),), F(1))
-    meets = faces_module._restriction([zero, one], Hyperplane((F(2),), F(1)))
+    meets = _restriction_meets([zero, one], Hyperplane((F(2),), F(1)))
     assert meets == {(PLUS, MINUS): ((F(1, 2),), 0)}
+
+
+def test_restriction_with_negative_leading_coefficient():
+    # -x - y = 0 and x + y = 0 are the same line: eliminating x through a
+    # negative coefficient must give the same faces and the same points.
+    prefix = [X, Y, Hyperplane((F(1), F(-1)), F(1))]
+    flipped = Hyperplane((F(-1), F(-1)), F(0))
+    integer = faces_module._integer
+
+    def restrict(hyper):
+        return faces_module._restriction([integer(h) for h in prefix], integer(hyper))
+
+    assert restrict(flipped) == restrict(DIAGONAL)
+    assert len(_restriction_meets(prefix, flipped)) == 5
+
+
+def test_restriction_of_fractional_hyperplanes():
+    # On x + y = 1/5, the lines x/2 = 1/3 and 2y/3 = -1/6 (x = 2/3 and
+    # y = -1/4) cut out the vertices (2/3, -7/15) and (9/20, -1/4).
+    prefix = [
+        Hyperplane((F(1, 2), F(0)), F(1, 3)),
+        Hyperplane((F(0), F(2, 3)), F(-1, 6)),
+    ]
+    meets = _restriction_meets(prefix, Hyperplane((F(1), F(1)), F(1, 5)))
+    assert {signs: dim for signs, (_, dim) in meets.items()} == {
+        (MINUS, PLUS): 1,
+        (MINUS, ZERO): 0,
+        (MINUS, MINUS): 1,
+        (ZERO, MINUS): 0,
+        (PLUS, MINUS): 1,
+    }
+    assert meets[(ZERO, MINUS)][0] == (F(2, 3), F(-7, 15))
+    assert meets[(MINUS, ZERO)][0] == (F(9, 20), F(-1, 4))
 
 
 def _build_and_bound(arrangement):
