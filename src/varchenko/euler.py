@@ -114,41 +114,64 @@ def euler_closure_minus_panels(complex_: FaceComplex, chamber: Face, panel_subse
     if not chamber.is_chamber:
         raise ValueError(f"requires a chamber, got {chamber!r}")
     subset = list(panel_subset)
-    all_panels = panels(complex_, chamber)
-    panel_ids = {f.id for f in all_panels}
+    masks = _PanelMasks(complex_, chamber)
+    position = {f.id: i for i, f in enumerate(masks.panels)}
     if not subset:
         raise ValueError("panel subset must be nonempty")
-    if any(f.id not in panel_ids for f in subset):
+    if any(f.id not in position for f in subset):
         raise ValueError("subset contains a non-panel of the chamber")
-    if len({f.id for f in subset}) == len(panel_ids):
+    mask = sum(1 << i for i in {position[f.id] for f in subset})
+    if mask == (1 << len(position)) - 1:
         raise ValueError("subset must be a proper subset of the panels")
-    if len(subset) > 1 and not _panels_adjacent(complex_, subset):
+    if len(subset) > 1 and not masks.adjacent_within(mask):
         raise ValueError(
             "each panel must share a codimension-2 face with another"
         )
-    kept = [
-        g
-        for g in closure_faces(complex_, chamber)
-        if not any(face_leq(g, f) for f in subset)
-    ]
-    return sum(-1 if g.dim % 2 else 1 for g in kept)
+    return masks.chi_minus(mask)
 
 
-def _panels_adjacent(complex_: FaceComplex, subset) -> bool:
-    n = complex_.dimension
-    for f in subset:
-        if not any(
-            g is not f and _share_codim2(complex_, f, g, n) for g in subset
-        ):
-            return False
-    return True
+class _PanelMasks:
+    """A chamber's panels, in id order, with its closure read as bitmasks
+    over them: bit i of a face's mask is set when the face lies below
+    panel i.
 
+    `chi` holds, for each such mask, the alternating count (-1)^dim of the
+    closure faces that have it, and `adjacent[i]` the mask of the other
+    panels that share a closure face of dimension n - 2 with panel i. Any
+    face below a panel of the chamber lies in its closure, so these are
+    all the faces the lemma reads.
+    """
 
-def _share_codim2(complex_: FaceComplex, f: Face, g: Face, n: int) -> bool:
-    return any(
-        k.dim == n - 2 and face_leq(k, f) and face_leq(k, g)
-        for k in complex_.faces
-    )
+    __slots__ = ("panels", "chi", "adjacent")
+
+    def __init__(self, complex_: FaceComplex, chamber: Face):
+        n = complex_.dimension
+        self.panels = panels(complex_, chamber)
+        self.chi = {}
+        self.adjacent = [0] * len(self.panels)
+        for g in closure_faces(complex_, chamber):
+            below = 0
+            for i, f in enumerate(self.panels):
+                if face_leq(g, f):
+                    below |= 1 << i
+            self.chi[below] = self.chi.get(below, 0) + (-1 if g.dim % 2 else 1)
+            if g.dim == n - 2:
+                for i in range(len(self.panels)):
+                    if below >> i & 1:
+                        self.adjacent[i] |= below & ~(1 << i)
+
+    def adjacent_within(self, mask: int) -> bool:
+        """Whether every panel of mask shares a codimension-2 face with
+        another panel of mask."""
+        return all(
+            self.adjacent[i] & mask
+            for i in range(len(self.panels))
+            if mask >> i & 1
+        )
+
+    def chi_minus(self, mask: int) -> int:
+        """Alternating count of the closure faces below no panel of mask."""
+        return sum(count for below, count in self.chi.items() if not below & mask)
 
 
 _CHI_TABLE = {BOUNDED: lambda n: 1, TYPE1: lambda n: 0, TYPE2: lambda n: -1,
@@ -180,21 +203,14 @@ def lemma_ch_check(complex_: FaceComplex) -> CheckResult:
     return CheckResult("lemma_chi_closure", FAIL if failures else PASS, {}, details)
 
 
-def _admissible_panel_subsets(complex_: FaceComplex, chamber: Face):
-    chamber_panels = panels(complex_, chamber)
-    count = len(chamber_panels)
-    for mask in range(1, 1 << count):
-        subset = [chamber_panels[i] for i in range(count) if mask >> i & 1]
-        if len(subset) == count:
-            continue
-        if len(subset) > 1 and not _panels_adjacent(complex_, subset):
-            continue
-        yield subset
-
-
 def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
     """chi of chamber-minus-panels matches the two-case prediction:
-    -1 for a type-1 chamber with bounded panel union, 0 otherwise."""
+    -1 for a type-1 chamber with bounded panel union, 0 otherwise.
+
+    The panel subsets of a chamber are the bitmasks over its panels in id
+    order, taken in increasing order; each is read off the chamber's
+    `_PanelMasks` with a few int operations.
+    """
     failures = []
     skipped = []
     checked = 0
@@ -203,18 +219,27 @@ def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
         if tag == UNKNOWN:
             skipped.append(chamber.id)
             continue
-        for subset in _admissible_panel_subsets(complex_, chamber):
+        masks = _PanelMasks(complex_, chamber)
+        unbounded = sum(
+            1 << i
+            for i, f in enumerate(masks.panels)
+            if not complex_.face_is_bounded(f)
+        )
+        for mask in range(1, (1 << len(masks.panels)) - 1):
+            if mask & (mask - 1) and not masks.adjacent_within(mask):
+                continue
             checked += 1
-            union_bounded = all(
-                complex_.face_is_bounded(f) for f in subset
-            )
-            expected = -1 if (tag == TYPE1 and union_bounded) else 0
-            actual = euler_closure_minus_panels(complex_, chamber, subset)
+            expected = -1 if (tag == TYPE1 and not mask & unbounded) else 0
+            actual = masks.chi_minus(mask)
             if actual != expected:
                 failures.append(
                     {
                         "chamber": chamber.id,
-                        "panels": [f.id for f in subset],
+                        "panels": [
+                            f.id
+                            for i, f in enumerate(masks.panels)
+                            if mask >> i & 1
+                        ],
                         "chi": actual,
                         "expected": expected,
                     }

@@ -63,11 +63,16 @@ def format_signs(signs) -> str:
 
 class Face:
     """One face: sign vector, half-space masks, dimension, and an interior
-    witness point."""
+    witness point.
 
-    __slots__ = ("signs", "half", "zero", "dim", "witness", "id")
+    The witness is given either as rational coordinates or, by
+    `enumerate_faces`, as a homogeneous integer point (x_1, ..., x_n, d)
+    standing for x/d, turned into Fractions only when `witness` is read.
+    """
 
-    def __init__(self, signs, dim, witness, face_id):
+    __slots__ = ("signs", "half", "zero", "dim", "id", "_witness", "_point")
+
+    def __init__(self, signs, dim, witness, face_id, point=None):
         self.signs = tuple(signs)
         self.half = half_mask(enumerate(self.signs))
         # bit 2h of `even` for every hyperplane h; a face on H_h has
@@ -75,8 +80,16 @@ class Face:
         even = ((1 << 2 * len(self.signs)) - 1) // 3
         self.zero = (even & ~(self.half | self.half >> 1)) * 3
         self.dim = dim
-        self.witness = tuple(witness)
         self.id = face_id
+        self._witness = None if witness is None else tuple(witness)
+        self._point = point
+
+    @property
+    def witness(self):
+        """The interior point as a tuple of Fractions."""
+        if self._witness is None:
+            self._witness = _rational(self._point)
+        return self._witness
 
     @property
     def is_chamber(self) -> bool:
@@ -108,6 +121,12 @@ class FaceComplex:
         self._recession_masks = None  # see face_is_bounded
         self._closures = {}
         self._products = {}  # face id F -> ids of FG for every face G
+        # face id F -> {id of FC: positions of the chambers C giving it,
+        # in chamber order}, read from F's row of _products
+        self._chamber_products = {}
+        # (A id, D id) -> (witt_lhs, witt_rhs) of the nested pair, each as
+        # {chamber position: coefficient} over the nonzero coefficients
+        self._witt = {}
         self._traces = {}  # (chamber id, hyperplane) -> trace face or None
         self._chi = {}  # chamber id -> Euler characteristic of its closure
         self._chamber_types = {}  # chamber id -> classify() tag
@@ -173,14 +192,14 @@ def enumerate_faces(arrangement) -> FaceComplex:
 
     The recursion is fraction-free: it runs on primitive integer hyperplanes
     and on points in homogeneous integer coordinates (x_1, ..., x_n, d),
-    d > 0, standing for x/d, and only the witnesses it returns are turned
-    back into Fractions.
+    d > 0, standing for x/d. Each face keeps its point in that form and
+    turns it into Fractions only when its `witness` is read.
     """
     hyperplanes = [_integer(h) for h in arrangement.hyperplanes]
     pieces = _face_pieces(arrangement.dimension, hyperplanes)
     pieces.sort(key=lambda piece: sign_key(piece[0]))
     faces = [
-        Face(signs, dim, _rational(point), face_id)
+        Face(signs, dim, None, face_id, point)
         for face_id, (signs, point, dim) in enumerate(pieces)
     ]
     return FaceComplex(arrangement, faces)

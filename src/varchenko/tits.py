@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .faces import Face, FaceComplex, closure_faces, face_leq
 
 
@@ -22,19 +24,30 @@ def _product_row(complex_: FaceComplex, f: Face):
     """
     row = complex_._products.get(f.id)
     if row is None:
-        by_half = complex_.by_half
-        ids = []
-        for g in complex_.faces:
-            half = f.half | (g.half & f.zero)
-            product = by_half.get(half)
-            if product is None:
-                raise ComplexInvariantError(
-                    f"Tits product of faces {f.id}, {g.id} (half-space mask "
-                    f"{half:#b}) is not a face of the complex"
-                )
-            ids.append(product.id)
-        row = complex_._products[f.id] = tuple(ids)
+        lookup = complex_.by_half.get
+        half, zero = f.half, f.zero
+        products = [lookup(half | (g.half & zero)) for g in complex_.faces]
+        if None in products:
+            g = complex_.faces[products.index(None)]
+            raise ComplexInvariantError(
+                f"Tits product of faces {f.id}, {g.id} (half-space mask "
+                f"{half | (g.half & zero):#b}) is not a face of the complex"
+            )
+        row = complex_._products[f.id] = tuple([p.id for p in products])
     return row
+
+
+def chamber_products(complex_: FaceComplex, f: Face):
+    """f's products with the chambers, read from the chamber columns of its
+    row of the product table: {id of FC: the positions of those chambers C
+    in chamber order}, computed once per face."""
+    found = complex_._chamber_products.get(f.id)
+    if found is None:
+        row = _product_row(complex_, f)
+        found = complex_._chamber_products[f.id] = {}
+        for i, c in enumerate(complex_.chamber_ids):
+            found.setdefault(row[c], []).append(i)
+    return found
 
 
 def tits_product(complex_: FaceComplex, f: Face, g: Face) -> Face:
@@ -80,10 +93,11 @@ def tits_semigroup_check(complex_: FaceComplex):
     Every law is read off the complex's product table, whose row for F
     holds the id of FG for every G. For each pair (E, F), the row of
     (EF)G over all G is the table row of EF, and the row of E(FG) is the
-    row of F mapped through the row of E; the two rows are compared whole,
-    and only a mismatch is walked entry by entry to list the violating G.
-    `triples` counts the entries compared. Order compatibility takes the
-    order from `face_leq`, never from the table.
+    row of E read at the entries of the row of F, one `itemgetter` per F.
+    The two rows are compared whole, and only a mismatch is walked entry
+    by entry to list the violating G. `triples` counts the
+    entries compared. Order compatibility takes the order from
+    `face_leq`, never from the table.
     """
     from .report import FAIL, PASS, CheckResult
 
@@ -99,20 +113,26 @@ def tits_semigroup_check(complex_: FaceComplex):
                 violations.append(
                     {"kind": "order_compatibility", "F": f.id, "G": g.id}
                 )
-    triples = 0
+    through = [_reader(row) for row in table]
     for e, row_e in enumerate(table):
-        through_e = row_e.__getitem__
-        for f, row_f in enumerate(table):
-            left = table[row_e[f]]
-            right = tuple(map(through_e, row_f))
-            triples += len(right)
+        for f, (ef, read) in enumerate(zip(row_e, through)):
+            left, right = table[ef], read(row_e)
             if left != right:
                 violations.extend(
                     {"kind": "associativity", "E": e, "F": f, "G": g}
                     for g, (lg, rg) in enumerate(zip(left, right))
                     if lg != rg
                 )
-    details = {"faces": len(faces), "triples": triples}
+    details = {"faces": len(faces), "triples": len(faces) ** 3}
     if violations:
         details["violations"] = violations
     return CheckResult("tits_semigroup", FAIL if violations else PASS, {}, details)
+
+
+def _reader(row):
+    """A function taking a row to the tuple of its entries at the ids in
+    row: `itemgetter`, except that one id still gives a tuple."""
+    if len(row) == 1:
+        (only,) = row
+        return lambda other: (other[only],)
+    return itemgetter(*row)

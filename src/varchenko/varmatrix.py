@@ -34,8 +34,8 @@ from .polyring import (
     var_of_index,
 )
 from .report import FAIL, PASS, CheckResult
-from .tits import opposite_through, tits_product
-from .witt import witt_lhs, witt_rhs
+from .tits import _product_row, opposite_through
+from .witt import witt_vectors
 
 DEFAULT_PRIME = 2**61 - 1
 DEFAULT_SYMBOLIC_THRESHOLD = 12
@@ -679,16 +679,18 @@ def beta_independence_check(complex_: FaceComplex, apartment=None) -> CheckResul
 
 def v_path_identity_check(complex_: FaceComplex) -> CheckResult:
     """v(C,D) = v(C,FD) v(FD,D) for all chambers C, D and faces F below C,
-    compared as half-space masks by the rule in `v`'s docstring."""
+    compared as half-space masks by the rule in `v`'s docstring. Each FD
+    is read from the chamber columns of F's row of the product table."""
     violations = []
     chambers = complex_.chambers()
+    faces = complex_.faces
     checked = 0
     for c in chambers:
-        below = closure_faces(complex_, c)
+        below = [(f, _product_row(complex_, f)) for f in closure_faces(complex_, c)]
         for d in chambers:
             left = c.half & ~d.half
-            for f in below:
-                fd = tits_product(complex_, f, d)
+            for f, row in below:
+                fd = faces[row[d.id]]
                 checked += 1
                 if (c.half & ~fd.half) | (fd.half & ~d.half) != left:
                     violations.append(
@@ -711,7 +713,9 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     otherwise, so the coordinates at C are the Witt vectors scaled by
     distances: witt_lhs times v(D, C), and witt_rhs times
     v(D, D~_A) v(D~_A, C), the OR of two masks by the rule in `v`'s
-    docstring. Both are compared as (coefficient, mask), (0, 0) for zero.
+    docstring. Both are compared as {C: (coefficient, mask)} over the
+    nonzero coefficients of the Witt vectors the complex keeps for the
+    pair (`witt.witt_vectors`), which `witt_sweep` reads too.
     """
     chambers = complex_.chambers()
     violations = []
@@ -719,16 +723,16 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     for d in chambers:
         for a in closure_faces(complex_, d):
             checked += 1
-            lhs = [
-                (k, d.half & ~c.half) if k else (0, 0)
-                for k, c in zip(witt_lhs(complex_, a, d), chambers)
-            ]
+            witt_left, witt_right = witt_vectors(complex_, a, d)
+            lhs = {
+                i: (k, d.half & ~chambers[i].half) for i, k in witt_left.items()
+            }
             d_opp = opposite_through(complex_, a, d)
             scale = d.half & ~d_opp.half
-            rhs = [
-                (k, scale | (d_opp.half & ~c.half)) if k else (0, 0)
-                for k, c in zip(witt_rhs(complex_, a, d), chambers)
-            ]
+            rhs = {
+                i: (k, scale | (d_opp.half & ~chambers[i].half))
+                for i, k in witt_right.items()
+            }
             if lhs != rhs:
                 violations.append({"A": a.id, "D": d.id})
     details = {"checked": checked}

@@ -3,8 +3,13 @@
 The formal sums over chamber variables x_C reduce to integer coefficient
 vectors indexed by chambers; linear independence of the x_C makes
 coefficientwise equality the whole content of the identities. One function,
-`signed_chamber_vector`, counts the signed vectors; the m(A, D) recurrence
-in `varmatrix` reuses both Witt sides, scaled by distance masks.
+`signed_chamber_vector`, counts the signed vectors. It reads each face's
+products with the chambers from the chamber columns of the complex's
+product table, grouped by product (`tits.chamber_products`), so the
+chambers C with FC = D are one lookup. The two vectors of a nested pair are
+computed once per complex and kept on it by `witt_vectors`, as their
+nonzero coefficients: `witt_sweep` and the m(A, D) recurrence in
+`varmatrix`, which scales both sides by distance masks, read the same ones.
 """
 
 from __future__ import annotations
@@ -12,39 +17,56 @@ from __future__ import annotations
 from .euler import BOUNDED, TYPE2, TYPE3, classify, euler_closure
 from .faces import Face, FaceComplex, closure_faces
 from .report import FAIL, PASS, SKIPPED, CheckResult
-from .tits import nested_interval, opposite_through, rank, tits_product
+from .tits import chamber_products, nested_interval, opposite_through, rank
 
 
 def signed_chamber_vector(complex_: FaceComplex, faces, d: Face):
-    """Coefficient at each chamber C, in chamber order: the sum of
-    (-1)^{rk F} over the listed faces F with FC = D."""
-    chambers = complex_.chambers()
-    coords = [0] * len(chambers)
+    """The sum of (-1)^{rk F} over the listed faces F with FC = D, for each
+    chamber C: {position of C in chamber order: coefficient}, holding the
+    nonzero coefficients only."""
+    coords = [0] * len(complex_.chamber_ids)
     for f in faces:
         sign = -1 if rank(complex_, f) % 2 else 1
-        for i, c in enumerate(chambers):
-            if tits_product(complex_, f, c) is d:
-                coords[i] += sign
-    return coords
+        for i in chamber_products(complex_, f).get(d.id, ()):
+            coords[i] += sign
+    return {i: k for i, k in enumerate(coords) if k}
+
+
+def witt_vectors(complex_: FaceComplex, a: Face, d: Face):
+    """(witt_lhs, witt_rhs) of the nested pair (A, D), each as
+    {position of C in chamber order: coefficient} over its nonzero
+    coefficients, computed once per complex."""
+    pair = complex_._witt.get((a.id, d.id))
+    if pair is None:
+        if not d.is_chamber:
+            raise ValueError(f"Witt vectors require a chamber, got {d!r}")
+        lhs = signed_chamber_vector(complex_, nested_interval(complex_, a, d), d)
+        opposite = opposite_through(complex_, a, d)
+        sign = -1 if rank(complex_, d) % 2 else 1
+        rhs = dict.fromkeys(
+            chamber_products(complex_, a).get(opposite.id, ()), sign
+        )
+        if rhs == lhs:
+            rhs = lhs  # one dict for both sides when they agree
+        pair = complex_._witt[a.id, d.id] = (lhs, rhs)
+    return pair
+
+
+def _dense(complex_: FaceComplex, coords):
+    vector = [0] * len(complex_.chamber_ids)
+    for i, k in coords.items():
+        vector[i] = k
+    return vector
 
 
 def witt_lhs(complex_: FaceComplex, a: Face, d: Face):
     """Coefficient at C: sum of (-1)^{rk F} over F in [A, D] with FC = D."""
-    if not d.is_chamber:
-        raise ValueError(f"witt_lhs requires a chamber, got {d!r}")
-    return signed_chamber_vector(complex_, nested_interval(complex_, a, d), d)
+    return _dense(complex_, witt_vectors(complex_, a, d)[0])
 
 
 def witt_rhs(complex_: FaceComplex, a: Face, d: Face):
     """Coefficient at C: (-1)^{rk D} when AC is the opposite of D through A."""
-    if not d.is_chamber:
-        raise ValueError(f"witt_rhs requires a chamber, got {d!r}")
-    opposite = opposite_through(complex_, a, d)
-    sign = -1 if rank(complex_, d) % 2 else 1
-    return [
-        sign if tits_product(complex_, a, c) is opposite else 0
-        for c in complex_.chambers()
-    ]
+    return _dense(complex_, witt_vectors(complex_, a, d)[1])
 
 
 def witt2_check(complex_: FaceComplex, d: Face) -> CheckResult:
@@ -63,7 +85,8 @@ def witt2_check(complex_: FaceComplex, d: Face) -> CheckResult:
     expected_diagonal = sign * euler_closure(complex_, d)
     counts = signed_chamber_vector(complex_, closure_faces(complex_, d), d)
     bad = []
-    for c, total in zip(complex_.chambers(), counts):
+    for i, c in enumerate(complex_.chambers()):
+        total = counts.get(i, 0)
         want = expected_diagonal if c is d else 0
         if total != want:
             bad.append({"C": c.id, "coefficient": total, "expected": want})
@@ -81,7 +104,8 @@ def witt_sweep(complex_: FaceComplex) -> CheckResult:
     for d in complex_.chambers():
         for a in closure_faces(complex_, d):
             pairs += 1
-            if witt_lhs(complex_, a, d) != witt_rhs(complex_, a, d):
+            lhs, rhs = witt_vectors(complex_, a, d)
+            if lhs != rhs:
                 pair_failures.append({"A": a.id, "D": d.id})
 
     closure_failures = []

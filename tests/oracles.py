@@ -374,6 +374,88 @@ def mad_recurrence_violations(complex_, product=None):
     return {"checked": checked, "violations": violations}
 
 
+# -- lemma_chm by scanning faces ------------------------------------------------
+#
+# Reference for `varchenko.euler.lemma_chm_check`: every panel subset is
+# enumerated as a list of faces, adjacency rescans the whole complex for a
+# codimension-2 face below both panels, and the characteristic rescans the
+# chamber's closure for faces below no removed panel.
+
+
+def share_codim2_scan(complex_, f, g) -> bool:
+    """Whether some face of dimension n - 2 lies below both f and g."""
+    n = complex_.dimension
+    return any(
+        k.dim == n - 2 and leq_signs(k.signs, f.signs) and leq_signs(k.signs, g.signs)
+        for k in complex_.faces
+    )
+
+
+def _panels_adjacent_scan(complex_, subset) -> bool:
+    return all(
+        any(g is not f and share_codim2_scan(complex_, f, g) for g in subset)
+        for f in subset
+    )
+
+
+def euler_minus_panels_scan(complex_, chamber, subset) -> int:
+    """Alternating cell count of the closed chamber minus the closed panels."""
+    return sum(
+        -1 if g.dim % 2 else 1
+        for g in _below(complex_, chamber)
+        if not any(leq_signs(g.signs, f.signs) for f in subset)
+    )
+
+
+def admissible_panel_subsets_scan(complex_, chamber):
+    """Nonempty proper panel subsets, in bitmask order over the panels in
+    id order, whose members each share a codimension-2 face with another
+    member when there is more than one."""
+    n = complex_.dimension
+    chamber_panels = [
+        f for f in _below(complex_, chamber) if ZERO in f.signs and f.dim == n - 1
+    ]
+    count = len(chamber_panels)
+    for mask in range(1, (1 << count) - 1):
+        subset = [chamber_panels[i] for i in range(count) if mask >> i & 1]
+        if len(subset) > 1 and not _panels_adjacent_scan(complex_, subset):
+            continue
+        yield subset
+
+
+def lemma_chm_details(complex_):
+    """The `details` of `lemma_chm_check`, computed by face scans; chamber
+    types and boundedness come from the library."""
+    from varchenko.euler import TYPE1, UNKNOWN, classify
+
+    failures = []
+    skipped = []
+    checked = 0
+    for chamber in complex_.chambers():
+        tag = classify(complex_, chamber)
+        if tag == UNKNOWN:
+            skipped.append(chamber.id)
+            continue
+        for subset in admissible_panel_subsets_scan(complex_, chamber):
+            checked += 1
+            bounded = all(complex_.face_is_bounded(f) for f in subset)
+            expected = -1 if (tag == TYPE1 and bounded) else 0
+            actual = euler_minus_panels_scan(complex_, chamber, subset)
+            if actual != expected:
+                failures.append(
+                    {
+                        "chamber": chamber.id,
+                        "panels": [f.id for f in subset],
+                        "chi": actual,
+                        "expected": expected,
+                    }
+                )
+    details = {"checked": checked, "skipped": skipped}
+    if failures:
+        details["failures"] = failures
+    return details
+
+
 # -- face counts from the intersection poset ----------------------------------
 
 
