@@ -1,7 +1,7 @@
 """Combinatorial Euler characteristics of chamber closures and the chamber
 type classification (bounded / three kinds of unbounded frontier).
 
-Classification is exact for n <= 2 (LP boundedness plus frontier component
+Classification is exact for n <= 2 (boundedness plus frontier component
 counting). For n >= 3 it falls back to the Euler characteristic and stays
 conservative: a chamber whose characteristic matches no type, or more than
 one, is tagged `unknown` and downstream checks skip it.
@@ -10,7 +10,6 @@ one, is tagged `unknown` and downstream checks skip it.
 from __future__ import annotations
 
 from .faces import Face, FaceComplex, closure_faces, face_leq, panels
-from .geometry import affine_rank
 from .report import FAIL, PASS, CheckResult
 
 BOUNDED = "bounded"
@@ -82,14 +81,9 @@ def _classify(complex_: FaceComplex, chamber: Face) -> str:
                 len(comp) == 1 and comp[0].dim == n - 1
                 for comp in components
             )
-            if full_walls:
-                normals = [
-                    complex_.arrangement.hyperplanes[comp[0].zero_set()[0]].normal
-                    for comp in components
-                ]
-                if affine_rank(normals) == 1:
-                    return TYPE3
-            return TYPE2
+            # Two full walls are whole lines with no vertex on them, so they
+            # are parallel: crossing lines would split each other.
+            return TYPE3 if full_walls else TYPE2
         return UNKNOWN
 
     chi = euler_closure(complex_, chamber)

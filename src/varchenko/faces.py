@@ -22,17 +22,18 @@ dimension less enumerated by the same recursion: a face meets H in exactly
 one face of the restriction (Zaslavsky, *Facing up to arrangements*, 1975).
 Boundedness is read off the faces of the recession arrangement of the
 normals. Neither step solves an LP, and neither uses Fractions: the
-recursion runs on primitive integer hyperplanes and on points in homogeneous
-integer coordinates, with common factors divided out as it goes, in the
-integer-preserving spirit of Bareiss (1968). Input and witnesses stay
-rational. A brute-force enumerator that LP-filters all 3^m sign vectors is
-kept as an independent oracle.
+recursion runs on the primitive integer form of each hyperplane
+(`Hyperplane.integer`) and on points in homogeneous integer coordinates,
+with common factors divided out as it goes, in the integer-preserving spirit
+of Bareiss (1968); its one elimination, `geometry.transverse_direction`, is
+integer too. Fractions appear only when a face's `witness` is read. A
+brute-force enumerator that LP-filters all 3^m sign vectors is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 
 from .geometry import (
@@ -41,7 +42,9 @@ from .geometry import (
     SIGN_CHARS,
     SIGN_ORDER,
     ZERO,
+    canonical,
     feasible_interior,
+    primitive,
     transverse_direction,
 )
 
@@ -65,14 +68,14 @@ class Face:
     """One face: sign vector, half-space masks, dimension, and an interior
     witness point.
 
-    The witness is given either as rational coordinates or, by
-    `enumerate_faces`, as a homogeneous integer point (x_1, ..., x_n, d)
-    standing for x/d, turned into Fractions only when `witness` is read.
+    The witness is kept as a homogeneous integer point (x_1, ..., x_n, d),
+    d > 0, standing for x/d, and turned into Fractions when `witness` is
+    read.
     """
 
-    __slots__ = ("signs", "half", "zero", "dim", "id", "_witness", "_point")
+    __slots__ = ("signs", "half", "zero", "dim", "id", "point")
 
-    def __init__(self, signs, dim, witness, face_id, point=None):
+    def __init__(self, signs, dim, point, face_id):
         self.signs = tuple(signs)
         self.half = half_mask(enumerate(self.signs))
         # bit 2h of `even` for every hyperplane h; a face on H_h has
@@ -81,15 +84,13 @@ class Face:
         self.zero = (even & ~(self.half | self.half >> 1)) * 3
         self.dim = dim
         self.id = face_id
-        self._witness = None if witness is None else tuple(witness)
-        self._point = point
+        self.point = tuple(point)
 
     @property
     def witness(self):
         """The interior point as a tuple of Fractions."""
-        if self._witness is None:
-            self._witness = _rational(self._point)
-        return self._witness
+        d = self.point[-1]
+        return tuple(Fraction(x, d) for x in self.point[:-1])
 
     @property
     def is_chamber(self) -> bool:
@@ -189,42 +190,15 @@ def enumerate_faces(arrangement) -> FaceComplex:
     The step eps is half the shortest one at which a strict constraint of F
     would change sign, so every new witness stays inside F, and the side
     pieces keep the dimension of F.
-
-    The recursion is fraction-free: it runs on primitive integer hyperplanes
-    and on points in homogeneous integer coordinates (x_1, ..., x_n, d),
-    d > 0, standing for x/d. Each face keeps its point in that form and
-    turns it into Fractions only when its `witness` is read.
     """
-    hyperplanes = [_integer(h) for h in arrangement.hyperplanes]
+    hyperplanes = [h.integer for h in arrangement.hyperplanes]
     pieces = _face_pieces(arrangement.dimension, hyperplanes)
     pieces.sort(key=lambda piece: sign_key(piece[0]))
     faces = [
-        Face(signs, dim, None, face_id, point)
+        Face(signs, dim, point, face_id)
         for face_id, (signs, point, dim) in enumerate(pieces)
     ]
     return FaceComplex(arrangement, faces)
-
-
-def _integer(hyperplane):
-    """The hyperplane as a primitive integer pair (normal, offset): a
-    positive multiple of it, so with the same sides, whose entries have
-    gcd 1."""
-    row = (*hyperplane.normal, hyperplane.offset)
-    scale = lcm(*(c.denominator for c in row))
-    row = _primitive([c.numerator * (scale // c.denominator) for c in row])
-    return row[:-1], row[-1]
-
-
-def _rational(point):
-    """The Fraction coordinates of a homogeneous integer point."""
-    d = point[-1]
-    return tuple(Fraction(x, d) for x in point[:-1])
-
-
-def _primitive(values):
-    """Integer tuple values divided by the gcd of its entries."""
-    g = gcd(*values)
-    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
 def _value(hyper, point):
@@ -285,22 +259,15 @@ def _restriction(prefix, hyper):
         lifted = [scale * x for x in point]
         lifted.insert(p, sign * (b * point[-1] - sum(map(mul, others, point))))
         key = tuple(s if i is None else s * signs[i] for i, s in places)
-        meets[key] = (_primitive(lifted), dim)
+        meets[key] = (primitive(lifted), dim)
     return meets
 
 
 def _merge(hyper, merged):
     """(index, orientation) of the integer hyperplane among the distinct
-    ones, the keys of merged: each primitive with a positive leading
-    coefficient, and added when new. Orientation is PLUS when hyper has
-    the key's positive side, MINUS when the opposite."""
-    normal, offset = hyper
-    lead = next(x for x in normal if x)
-    g = gcd(*normal, offset)
-    if lead < 0:
-        g = -g
-    key = (tuple(x // g for x in normal), offset // g)
-    return merged.setdefault(key, len(merged)), PLUS if lead > 0 else MINUS
+    ones, the keys of merged in `geometry.canonical` form, added when new."""
+    key, orientation = canonical(*hyper)
+    return merged.setdefault(key, len(merged)), orientation
 
 
 def _split(constraints, witness, dim, hyper, meet):
@@ -319,17 +286,16 @@ def _split(constraints, witness, dim, hyper, meet):
         d_z, d_w = point[-1], witness[-1]
         direction = [d_w * z - d_z * w for z, w in zip(point, witness)]
         u, v = _step(constraints, point, direction, d_z * d_w)
-        far = _primitive([u * x + v * y for x, y in zip(point, direction)])
+        far = primitive([u * x + v * y for x, y in zip(point, direction)])
         return ((side, witness, dim), (ZERO, point, meet_dim), (-side, far, dim))
     if meet_dim == dim:
         return ((ZERO, witness, dim),)
     zero_normals = [h[0] for h, s in constraints if s == ZERO]
-    rational = transverse_direction(zero_normals, hyper[0])
-    scale = lcm(*(x.denominator for x in rational))
-    direction = [x.numerator * (scale // x.denominator) for x in rational] + [0]
+    direction, scale = transverse_direction(zero_normals, hyper[0])
+    direction = (*direction, 0)
     u, v = _step(constraints, witness, direction, scale)
-    ahead = _primitive([u * x + v * y for x, y in zip(witness, direction)])
-    behind = _primitive([u * x - v * y for x, y in zip(witness, direction)])
+    ahead = primitive([u * x + v * y for x, y in zip(witness, direction)])
+    behind = primitive([u * x - v * y for x, y in zip(witness, direction)])
     side = _side(hyper, ahead)
     return ((ZERO, witness, meet_dim), (side, ahead, dim), (-side, behind, dim))
 
@@ -358,10 +324,7 @@ def _recession_masks(arrangement):
     makes every face unbounded. Parallel hyperplanes share one central
     hyperplane, each with its orientation relative to it."""
     merged = {}  # distinct central hyperplane -> its index
-    places = [
-        _merge((normal, 0), merged)
-        for normal, _ in map(_integer, arrangement.hyperplanes)
-    ]
+    places = [_merge((h.integer[0], 0), merged) for h in arrangement.hyperplanes]
     faces = _face_pieces(arrangement.dimension, list(merged))
     lowest = max(1, min(dim for _, _, dim in faces))
     return tuple(

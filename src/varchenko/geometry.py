@@ -1,14 +1,19 @@
 """Exact geometry of affine hyperplanes: sides, feasibility, rank, boundedness.
 
-Coordinates and coefficients here are `fractions.Fraction`; the face
-recursion in `faces` converts them once to integers and works fraction-free.
-The sign convention is global: for a hyperplane with normal a and offset b,
-the open half-space H+ is {x : a.x > b} and H- is {x : a.x < b}.
+A hyperplane keeps its given coefficients as `fractions.Fraction` for input
+and output, and its primitive integer form, which the face recursion in
+`faces` runs on. `canonical` alone decides when two integer hyperplanes are
+the same, and `_echelon`, an integer Gauss-Jordan, is the one elimination.
+Fractions remain in the LP oracle (`feasible_interior`, `is_bounded`). The
+sign convention is global: for a hyperplane with normal a and offset b, the
+open half-space H+ is {x : a.x > b} and H- is {x : a.x < b}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .lp import OPTIMAL, solve_lp
 
@@ -29,32 +34,54 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
-class Hyperplane:
-    """Affine hyperplane {x : normal . x = offset} with a fixed orientation."""
+def primitive(values):
+    """Integer tuple values divided by the gcd of its entries."""
+    g = gcd(*values)
+    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
-    __slots__ = ("normal", "offset")
+
+def _integer_row(values):
+    """The primitive integer multiple, by a positive factor, of a row of
+    ints and Fractions."""
+    scale = lcm(*(c.denominator for c in values))
+    return primitive([c.numerator * (scale // c.denominator) for c in values])
+
+
+def canonical(normal, offset):
+    """(key, orientation) of the integer hyperplane normal.x = offset: the
+    key, primitive with a positive leading coefficient, is equal for two
+    hyperplanes iff they are the same subspace; orientation is PLUS when
+    the hyperplane has the key's positive side, MINUS when the opposite."""
+    lead = next(x for x in normal if x)
+    g = gcd(*normal, offset) * (1 if lead > 0 else -1)
+    return (tuple(x // g for x in normal), offset // g), PLUS if lead > 0 else MINUS
+
+
+class Hyperplane:
+    """Affine hyperplane {x : normal . x = offset} with a fixed orientation;
+    `integer` is its primitive integer pair (normal, offset), same sides."""
+
+    __slots__ = ("normal", "offset", "integer")
 
     def __init__(self, normal, offset):
         self.normal = tuple(_frac(a) for a in normal)
         self.offset = _frac(offset)
         if all(a == 0 for a in self.normal):
             raise ValueError("hyperplane normal must be nonzero")
+        row = _integer_row((*self.normal, self.offset))
+        self.integer = (row[:-1], row[-1])
 
     @property
     def dimension(self) -> int:
         return len(self.normal)
 
     def normalized_key(self):
-        """Canonical form (first nonzero coefficient scaled to 1).
+        """Canonical integer form (primitive, leading coefficient positive).
 
         Two hyperplanes describe the same affine subspace iff their keys
         are equal, which is how duplicates are detected.
         """
-        lead = next(a for a in self.normal if a != 0)
-        return (
-            tuple(a / lead for a in self.normal),
-            self.offset / lead,
-        )
+        return canonical(*self.integer)[0]
 
     def value_at(self, point) -> Fraction:
         if len(point) != len(self.normal):
@@ -173,12 +200,12 @@ def feasible_interior(constraints):
     return tuple(result.x[i] - result.x[n + i] for i in range(n))
 
 
-def _echelon(vectors):
-    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
-    rows = [list(map(_frac, v)) for v in vectors]
-    if not rows:
-        return [], []
-    width = len(rows[0])
+def _echelon(rows):
+    """Integer Gauss-Jordan elimination of integer rows: (rows, pivot
+    columns), one primitive row per pivot, whose pivot entry is positive
+    and the only nonzero entry of its column."""
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise ValueError("vectors must have equal length")
     pivots = []
@@ -186,45 +213,47 @@ def _echelon(vectors):
         rank = len(pivots)
         if rank == len(rows):
             break
-        pivot = next(
-            (i for i in range(rank, len(rows)) if rows[i][col] != 0), None
-        )
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for i in range(len(rows)):
-            factor = rows[i][col]
-            if i != rank and factor != 0:
-                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[rank])]
+        row = rows[rank]
+        row = rows[rank] = primitive([-v for v in row] if row[col] < 0 else row)
+        lead = row[col]
+        for i, other in enumerate(rows):
+            factor = other[col]
+            if i != rank and factor:
+                rows[i] = primitive([lead * v - factor * p for v, p in zip(other, row)])
         pivots.append(col)
     return rows[: len(pivots)], pivots
 
 
 def affine_rank(normals) -> int:
-    """Rank over Q of a list of vectors, via fraction Gaussian elimination."""
-    return len(_echelon(normals)[1])
+    """Rank over Q of a list of vectors, via integer Gauss-Jordan elimination
+    of the rows scaled to integers."""
+    return len(_echelon([_integer_row([_frac(a) for a in v]) for v in normals])[1])
 
 
 def transverse_direction(normals, normal):
-    """A direction d with n . d = 0 for every n in normals and normal . d != 0.
-
-    Such a d moves along the flat cut out by `normals` and crosses any
-    hyperplane with the given normal. Returns None when `normal` lies in the
-    span of `normals`, i.e. when no such direction exists. Deterministic:
-    the first null-space basis vector (one per free column) that works.
+    """(d, s): an integer direction d with n . d = 0 for every integer
+    vector n in normals and normal . d != 0, so d moves along the flat they
+    cut out and crosses any hyperplane with that normal. Deterministic: d/s
+    is the first null-space basis vector (entry 1 at its free column) that
+    works, d its primitive multiple and s > 0 its entry there. None when
+    `normal` lies in the span of `normals`.
     """
     rows, pivots = _echelon(normals)
+    scale = lcm(*(row[col] for row, col in zip(rows, pivots)))
     for free in range(len(normal)):
         if free in pivots:
             continue
-        d = [Fraction(0)] * len(normal)
-        d[free] = Fraction(1)
+        d = [0] * len(normal)
+        d[free] = scale
         for row, col in zip(rows, pivots):
-            d[col] = -row[free]
-        if sum(a * x for a, x in zip(normal, d)) != 0:
-            return tuple(d)
+            d[col] = -row[free] * (scale // row[col])
+        if sum(map(mul, normal, d)):
+            d = primitive(d)
+            return d, d[free]
     return None
 
 

@@ -5,6 +5,14 @@ from fractions import Fraction
 
 from varchenko.geometry import Arrangement, Hyperplane
 
+# Degenerate input the bundled files lack: parallel classes, concurrent
+# hyperplanes and a pencil of planes in R^3 (it fails lemma_chm by design).
+DEGENERATE = {
+    "parallel_classes": "dim 2\n1 0 0\n1 0 2\n0 1 0\n0 1 3\n1 1 1\n1 1 5\n",
+    "concurrent": "dim 2\n1 0 0\n0 1 0\n1 1 0\n1 0 2\n1 -2 3\n",
+    "pencil3": "dim 3\n1 0 0 0\n0 1 0 0\n1 1 0 0\n0 0 1 1\n0 0 1 -2\n",
+}
+
 
 def random_arrangement(seed, n=2, m=4, coeff_bound=3) -> Arrangement:
     """A random arrangement with small integer data; duplicates rejected."""

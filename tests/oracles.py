@@ -569,6 +569,64 @@ def face_count_mismatches(expected, faces):
     return problems
 
 
+# -- covector axioms of a conditional oriented matroid ------------------------
+
+
+def com_axiom_violations(halves, m):
+    """How a set L of sign vectors on m elements, given as `Face.half` masks
+    (bit 2e for e's + side, 2e+1 for its - side), breaks the covector axioms
+    of a conditional oriented matroid (Bandelt, Chepoi and Knauer, *COMs:
+    complexes of oriented matroids*, JCTA 2018):
+
+    * face symmetry: X o (-Y) is in L for all X, Y in L;
+    * strong elimination: for all X, Y in L and every e separating them
+      (X_e = -Y_e != 0) some Z in L has Z_e = 0 and agrees with X o Y off
+      the separator of X and Y.
+
+    Returns ("face symmetry", X, Y) and ("strong elimination", X, Y, e)
+    entries, empty when L is a COM. The candidates Z are found as a bitset
+    over L: the members that agree with X o Y at each element off the
+    separator.
+    """
+    even = ((1 << 2 * m) - 1) // 3  # bit 2e for every element e
+
+    def negate(x):
+        return (x & even) << 1 | (x >> 1) & even
+
+    def compose(x, y):
+        return x | (y & ~(((x | x >> 1) & even) * 3))
+
+    covectors = sorted(set(halves))
+    members = set(covectors)
+    # per covector, its sign at each element: 0 on it, 1 on its + side and
+    # 2 on its - side; with_sign[e][s] is the bitset over L of the
+    # covectors with sign s at e
+    signs = [[x >> 2 * e & 3 for e in range(m)] for x in covectors]
+    with_sign = [[0, 0, 0] for _ in range(m)]
+    for i, sx in enumerate(signs):
+        for e, s in enumerate(sx):
+            with_sign[e][s] |= 1 << i
+    everything = (1 << len(covectors)) - 1
+    violations = []
+    for x, sx in zip(covectors, signs):
+        for y, sy in zip(covectors, signs):
+            if compose(x, negate(y)) not in members:
+                violations.append(("face symmetry", x, y))
+            separator = []
+            candidates = everything
+            for e, (a, b) in enumerate(zip(sx, sy)):
+                if a | b == 3:  # opposite signs
+                    separator.append(e)
+                else:
+                    candidates &= with_sign[e][a or b]
+            violations.extend(
+                ("strong elimination", x, y, e)
+                for e in separator
+                if not candidates & with_sign[e][0]
+            )
+    return violations
+
+
 # -- apartment and polynomial helpers used only by tests ----------------------
 
 

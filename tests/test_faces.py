@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import varchenko.faces as faces_module
 import varchenko.geometry as geometry
 from varchenko.cli import main
+from varchenko.files import parse_arrangement
 from varchenko.faces import (
     brute_force_sign_vectors,
     centralization,
@@ -34,7 +35,7 @@ from varchenko.geometry import (
     side_of,
 )
 from varchenko.lp import solve_lp
-from corpus import random_arrangement
+from corpus import DEGENERATE, random_arrangement
 
 
 def signs_of(complex_):
@@ -254,6 +255,11 @@ def counted_lps():
         yield calls
 
 
+def rational(point):
+    """The Fraction coordinates of a homogeneous integer point."""
+    return tuple(F(x, point[-1]) for x in point[:-1])
+
+
 def _split_pieces(constraints, witness, hyper):
     """(sign on hyper, dim) of each piece the split step makes of the face
     `constraints`, with its meet taken from the restriction to hyper. The
@@ -261,19 +267,18 @@ def _split_pieces(constraints, witness, hyper):
     is given in homogeneous integer coordinates (x_1, ..., x_n, d). Every
     new witness, turned back into Fractions, must lie in the face, on its
     piece's side."""
-    integer = faces_module._integer
-    prefix = [integer(h) for h, _ in constraints]
+    prefix = [h.integer for h, _ in constraints]
     signs = tuple(s for _, s in constraints)
     zero_normals = [h.normal for h, s in constraints if s == ZERO]
     dim = len(witness) - 1 - affine_rank(zero_normals)
     with counted_lps() as calls:
-        meet = faces_module._restriction(prefix, integer(hyper)).get(signs)
+        meet = faces_module._restriction(prefix, hyper.integer).get(signs)
         pieces = faces_module._split(
-            list(zip(prefix, signs)), witness, dim, integer(hyper), meet
+            list(zip(prefix, signs)), witness, dim, hyper.integer, meet
         )
     assert calls == []
     for sign, point, _ in pieces:
-        point = faces_module._rational(point)
+        point = rational(point)
         assert all(side_of(h, point) == s for h, s in constraints)
         assert side_of(hyper, point) == sign
     return sorted(((sign, d) for sign, _, d in pieces), key=lambda p: SIGN_ORDER[p[0]])
@@ -316,11 +321,10 @@ def _restriction_meets(prefix, hyper):
     """{prefix sign vector: (Fraction witness, dim)} of the restriction of
     prefix to hyper, computed on the module's integer form, checking that
     every lifted witness lies on hyper with those signs."""
-    integer = faces_module._integer
     meets = {
-        signs: (faces_module._rational(point), dim)
+        signs: (rational(point), dim)
         for signs, (point, dim) in faces_module._restriction(
-            [integer(h) for h in prefix], integer(hyper)
+            [h.integer for h in prefix], hyper.integer
         ).items()
     }
     for signs, (point, _) in meets.items():
@@ -362,10 +366,9 @@ def test_restriction_with_negative_leading_coefficient():
     # negative coefficient must give the same faces and the same points.
     prefix = [X, Y, Hyperplane((F(1), F(-1)), F(1))]
     flipped = Hyperplane((F(-1), F(-1)), F(0))
-    integer = faces_module._integer
 
     def restrict(hyper):
-        return faces_module._restriction([integer(h) for h in prefix], integer(hyper))
+        return faces_module._restriction([h.integer for h in prefix], hyper.integer)
 
     assert restrict(flipped) == restrict(DIAGONAL)
     assert len(_restriction_meets(prefix, flipped)) == 5
@@ -415,6 +418,51 @@ def test_face_complex_solves_no_lp_sampled(arrangement):
     with counted_lps() as calls:
         _build_and_bound(arrangement)
     assert calls == []
+
+
+@contextlib.contextmanager
+def counted_fractions():
+    """Records every Fraction built: through its constructor, and through
+    the shortcut that arithmetic takes instead on Pythons that have one."""
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(F, "__new__", counting_new)
+        shortcut = F.__dict__.get("_from_coprime_ints")
+        if shortcut is not None:
+
+            def counting_shortcut(cls, *args):
+                built.append(args)
+                return shortcut.__func__(cls, *args)
+
+            patch.setattr(F, "_from_coprime_ints", classmethod(counting_shortcut))
+        yield built
+
+
+def test_fraction_counter_sees_witnesses(crossing):
+    with counted_fractions() as built:
+        crossing.faces[0].witness
+        F(1, 2) + F(1, 3)
+    assert len(built) >= 3
+
+
+def test_face_complex_builds_no_fraction(complexes):
+    arrangements = [c.arrangement for c in complexes.values()]
+    arrangements += [parse_arrangement(text) for text in DEGENERATE.values()]
+    arrangements += [
+        random_arrangement(f"no-fraction-{seed}", n=n, m=m, coeff_bound=5)
+        for seed in range(3)
+        for n, m in ((1, 4), (2, 7), (3, 6), (4, 6))
+    ]
+    with counted_fractions() as built:
+        for arrangement in arrangements:
+            _build_and_bound(arrangement)
+    assert built == []
 
 
 def _affine_image(arrangement, matrix, shift):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from varchenko.geometry import (
     feasible_interior,
     is_bounded,
     side_of,
+    transverse_direction,
 )
 
 H_LINE = Hyperplane([1], 0)
@@ -102,6 +104,31 @@ def test_affine_rank_against_sympy():
             [rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)
         ]
         assert affine_rank(data) == sympy.Matrix(data).rank()
+
+
+def test_transverse_direction_examples():
+    # 2x + y = 0 with y = 1 gives x = -1/2: d = (-1, 2) with scale 2.
+    assert transverse_direction([(2, 1)], (1, 0)) == ((-1, 2), 2)
+    # The first free column fails (x + y = 0 holds along (-1, 1, 0)).
+    assert transverse_direction([(1, 1, 0)], (0, 0, 1)) == ((0, 0, 1), 1)
+    assert transverse_direction([], (0, 3)) == ((0, 1), 1)
+    assert transverse_direction([(1, 2)], (-2, -4)) is None
+
+
+def test_transverse_direction_is_the_scaled_null_space_vector():
+    rng = random.Random("transverse")
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        normals, normal = rows[1:rng.randint(1, n)], rows[0]
+        found = transverse_direction(normals, normal)
+        if found is None:
+            assert affine_rank(normals + [normal]) == affine_rank(normals)
+            continue
+        d, s = found
+        assert s > 0 and s in d and math.gcd(*d) == 1
+        assert all(sum(a * x for a, x in zip(row, d)) == 0 for row in normals)
+        assert sum(a * x for a, x in zip(normal, d)) != 0
 
 
 def test_is_bounded_interval_and_ray():

@@ -21,17 +21,14 @@ import pytest
 
 from varchenko.cli import main
 from varchenko.files import bundled_text
+from corpus import DEGENERATE
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 ARRANGEMENTS = ("r1", "crossing", "generic3", "parallel2", "two_pairs", "r3")
 PAPER_PRODUCT = "(1 - h2^+ h2^-)^2 (1 - h3^+ h3^-)^2 (1 - h4^+ h4^-)^3"
-# Degenerate input the bundled files lack: parallel classes, concurrent
-# hyperplanes, a pencil of planes in R^3 (it fails lemma_chm by design) and
-# three points on the line.
+# The degenerate arrangements of the corpus, and three points on the line.
 INLINE = {
-    "parallel_classes.arr": "dim 2\n1 0 0\n1 0 2\n0 1 0\n0 1 3\n1 1 1\n1 1 5\n",
-    "concurrent.arr": "dim 2\n1 0 0\n0 1 0\n1 1 0\n1 0 2\n1 -2 3\n",
-    "pencil3.arr": "dim 3\n1 0 0 0\n0 1 0 0\n1 1 0 0\n0 0 1 1\n0 0 1 -2\n",
+    **{f"{name}.arr": text for name, text in DEGENERATE.items()},
     "points1.arr": "dim 1\n1 0\n1 1\n2 1\n",
 }
 

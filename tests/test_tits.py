@@ -121,7 +121,7 @@ def test_missing_product_face_raises_complex_invariant_error(generic3):
     kept = [h for h in generic3.faces if h is not missing]
     broken = FaceComplex(
         generic3.arrangement,
-        [Face(h.signs, h.dim, h.witness, i) for i, h in enumerate(kept)],
+        [Face(h.signs, h.dim, h.point, i) for i, h in enumerate(kept)],
     )
     f, g = broken.find(f.signs), broken.find(g.signs)
     message = re.escape(f"mask {missing.half:#b})")
