@@ -26,10 +26,17 @@ from corpus import DEGENERATE
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 ARRANGEMENTS = ("r1", "crossing", "generic3", "parallel2", "two_pairs", "r3")
 PAPER_PRODUCT = "(1 - h2^+ h2^-)^2 (1 - h3^+ h3^-)^2 (1 - h4^+ h4^-)^3"
-# The degenerate arrangements of the corpus, and three points on the line.
+# The degenerate arrangements of the corpus, three points on the line, and
+# the cyclic lines t x + y = t^2, t = 1..m: their apartment sweeps repeat
+# chamber sets and take the modular route on apartments above 12 chambers.
+CYCLIC = {
+    f"cyclic{m}.arr": "dim 2\n" + "".join(f"{t} 1 {t * t}\n" for t in range(1, m + 1))
+    for m in (5, 6)
+}
 INLINE = {
     **{f"{name}.arr": text for name, text in DEGENERATE.items()},
     "points1.arr": "dim 1\n1 0\n1 1\n2 1\n",
+    **CYCLIC,
 }
 
 
@@ -64,6 +71,10 @@ def commands():
     for path in INLINE:
         yield f"faces {path} --json"
         yield f"verify {path} --all --json"
+    for path in CYCLIC:
+        sweep = f"verify {path} --checks beta,factorization --all-apartments"
+        yield f"{sweep} --json --seed 4"
+        yield f"{sweep} --seed 4"
 
 
 def run(command, directory: Path):
