@@ -73,9 +73,9 @@ def find_apartment(complex_: FaceComplex, subset, base_signs):
 
 def faces_in(complex_: FaceComplex, apartment: Apartment):
     """Faces of the full arrangement contained in the apartment."""
-    return [f for f in complex_.faces if apartment.matches(f)]
+    return [f for f in complex_.faces if not apartment.half & ~f.half]
 
 
 def chambers_in(complex_: FaceComplex, apartment: Apartment):
     """Chambers inside the apartment, in face-id order."""
-    return [f for f in complex_.chambers() if apartment.matches(f)]
+    return [f for f in complex_.chambers() if not apartment.half & ~f.half]

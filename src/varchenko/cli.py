@@ -21,13 +21,13 @@ from .faces import enumerate_faces, format_signs
 from .files import arrangement_digest, parse_arrangement, parse_matrix
 from .geometry import CHAR_SIGNS
 from .polyring import exponent_tuple, format_terms, read_terms
-from .report import SCHEMA_VERSION, VerificationReport
+from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport
 from .tits import rank, tits_semigroup_check
 from .varmatrix import (
     DEFAULT_PRIME,
     DEFAULT_SYMBOLIC_THRESHOLD,
     FactoredDet,
-    beta_independence,
+    beta_details,
     beta_independence_check,
     compare_with_product,
     det_packed,
@@ -232,10 +232,10 @@ def cmd_varchenko(args) -> int:
     arrangement, complex_ = _load(args.file)
     apartment = _apartment_from_args(args, complex_)
     seed = args.seed if args.seed is not None else _default_seed()
-    where, chambers, non_chambers = resolve_apartment(complex_, apartment)
+    where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
     matrix = varchenko_matrix(chambers)
-    betas, mismatches = beta_independence(complex_, non_chambers, chambers)
-    factored = product_formula(complex_, non_chambers, betas)
+    beta_status, beta = beta_details(complex_, chambers, non_chambers, ids)
+    factored = product_formula(complex_, non_chambers, beta["betas"])
     mode, outcome = compare_with_product(
         matrix, factored, args.mode, seed, args.trials
     )
@@ -249,8 +249,8 @@ def cmd_varchenko(args) -> int:
         "factored": factored.text(),
         "mode": mode,
     }
-    if mismatches:
-        payload["beta_mismatches"] = mismatches
+    if beta_status == FAIL:
+        payload["beta_mismatches"] = beta["mismatches"]
     if mode == "symbolic":
         packing, determinant, expected = outcome
         payload["determinant"] = format_terms(packing.terms(determinant))
@@ -270,7 +270,7 @@ def cmd_varchenko(args) -> int:
             for t, product in outcome
         ]
         verified = all(row["match"] for row in payload["trials"])
-    verified = verified and not mismatches
+    verified = verified and beta_status == PASS
     payload["verified"] = verified
 
     if args.json:

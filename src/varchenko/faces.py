@@ -129,6 +129,8 @@ class FaceComplex:
         # {chamber position: coefficient} over the nonzero coefficients
         self._witt = {}
         self._traces = {}  # (chamber id, hyperplane) -> trace face or None
+        self._apartments = {}  # see varmatrix.resolve_apartment
+        self._apartment_checks = {}  # see varmatrix.beta_details
         self._chi = {}  # chamber id -> Euler characteristic of its closure
         self._chamber_types = {}  # chamber id -> classify() tag
 

@@ -386,14 +386,17 @@ def assignment_digest(assignment, prime: int) -> str:
     return hashlib.sha256(f"{prime};{payload}".encode()).hexdigest()[:16]
 
 
-def det_at(matrix: VMatrix, assignment, prime: int) -> int:
-    """Determinant of the matrix evaluated at one assignment, mod prime."""
+def det_at(matrix: VMatrix, assignment, prime: int, reduced=None) -> int:
+    """Determinant of the matrix at one assignment, mod prime: that of the
+    `reduce_rows` residual (`reduced`, computed when not given), None read
+    as 0, times each (1 - h^+ h^-)^k pulled out, which equals it in Z[h]."""
+    rows, counts = reduced or reduce_rows(matrix)
     values = assignment_values(assignment, matrix.nvars, prime)
-    rows = [
-        [prod(values[i] for i in set_bits(e)) % prime for e in row]
-        for row in matrix.entries
-    ]
-    return _det_mod(rows, prime)
+    det = _det_mod([[0 if e is None else prod(values[i] for i in set_bits(e)) % prime
+                     for e in row] for row in rows], prime)
+    for h in nonzero_indices(counts):
+        det = det * pow(1 - values[2 * h] * values[2 * h + 1], counts[h], prime) % prime
+    return det
 
 
 def det_modular(matrix: VMatrix, seed=0, trials: int = 10):
@@ -401,13 +404,14 @@ def det_modular(matrix: VMatrix, seed=0, trials: int = 10):
     in trial order; each trial is deterministic from (seed, trial index)."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    reduced = reduce_rows(matrix)
 
     def run(trial: int) -> ModularTrial:
         assignment = modular_assignment(matrix.nvars, seed, trial, DEFAULT_PRIME)
         return ModularTrial(
             trial,
             assignment_digest(assignment, DEFAULT_PRIME),
-            det_at(matrix, assignment, DEFAULT_PRIME),
+            det_at(matrix, assignment, DEFAULT_PRIME, reduced),
         )
 
     return [run(t) for t in range(trials)]
@@ -572,17 +576,32 @@ def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> Factored
 
 
 def resolve_apartment(complex_: FaceComplex, apartment):
-    """(description, chambers, non-chamber faces) of an apartment; None
-    stands for the full arrangement."""
-    if apartment is None:
-        where = "full arrangement"
-        faces = complex_.faces
-        chambers = complex_.chambers()
-    else:
-        where = apartment.describe()
-        faces = faces_in(complex_, apartment)
-        chambers = chambers_in(complex_, apartment)
-    return where, chambers, [f for f in faces if not f.is_chamber]
+    """(description, chambers, non-chamber faces, (their ids)) of an
+    apartment, None standing for the full arrangement; all but the first are
+    cached by `half` mask, 0 for the full arrangement, as for the empty subset."""
+    where = "full arrangement" if apartment is None else apartment.describe()
+    half = 0 if apartment is None else apartment.half
+    if half not in complex_._apartments:
+        faces = faces_in(complex_, apartment) if half else complex_.faces
+        chambers = chambers_in(complex_, apartment) if half else complex_.chambers()
+        non_chambers = [f for f in faces if not f.is_chamber]
+        ids = (tuple(c.id for c in chambers), tuple(f.id for f in non_chambers))
+        complex_._apartments[half] = chambers, non_chambers, ids
+    return (where, *complex_._apartments[half])
+
+
+def beta_details(complex_: FaceComplex, chambers, non_chambers, ids):
+    """The (status, details) of `beta_independence_check` on a resolved
+    apartment ("betas" holds the least of a face's values), memoized on the
+    complex by the check name and everything the details depend on."""
+    cache, key = complex_._apartment_checks, ("beta_independence", *ids)
+    if key not in cache:
+        betas, mismatches = beta_independence(complex_, non_chambers, chambers)
+        details = {"faces_checked": len(non_chambers), "betas": betas}
+        if mismatches:
+            details["mismatches"] = mismatches
+        cache[key] = FAIL if mismatches else PASS, details
+    return cache[key]
 
 
 def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, trials):
@@ -621,17 +640,25 @@ def verify_factorization(
 
     Asserts that the multiplicity is independent of the chosen hyperplane,
     then compares the Varchenko determinant against the product formula
-    through `compare_with_product` in "auto" mode.
-    """
-    where, chambers, non_chambers = resolve_apartment(complex_, apartment)
-    ctx = {"apartment": where}
-    details: dict = {"chambers": len(chambers)}
-    betas, mismatches = beta_independence(complex_, non_chambers, chambers)
-    if mismatches:
-        details["beta_mismatches"] = mismatches
-        return CheckResult("factorization", FAIL, ctx, details)
+    through `compare_with_product` in "auto" mode; memoized as in
+    `beta_details`, with the seed and trial count in the key."""
+    where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
+    cache, key = complex_._apartment_checks, ("factorization", *ids, seed, trials)
+    if key not in cache:
+        cache[key] = _factorization(complex_, chambers, non_chambers, ids, seed, trials)
+    status, details = cache[key]
+    return CheckResult("factorization", status, {"apartment": where}, details)
 
-    factored = product_formula(complex_, non_chambers, betas)
+
+def _factorization(complex_, chambers, non_chambers, ids, seed, trials):
+    """The (status, details) of `verify_factorization`."""
+    details: dict = {"chambers": len(chambers)}
+    status, beta = beta_details(complex_, chambers, non_chambers, ids)
+    if status == FAIL:
+        details["beta_mismatches"] = beta["mismatches"]
+        return FAIL, details
+
+    factored = product_formula(complex_, non_chambers, beta["betas"])
     details["factored"] = factored.text()
     mode, outcome = compare_with_product(
         varchenko_matrix(chambers), factored, "auto", seed, trials
@@ -640,10 +667,10 @@ def verify_factorization(
     if mode == "symbolic":
         packing, determinant, expected = outcome
         if determinant == expected:
-            return CheckResult("factorization", PASS, ctx, details)
+            return PASS, details
         details["determinant"] = format_terms(packing.terms(determinant))
         details["expected"] = format_terms(packing.terms(expected))
-        return CheckResult("factorization", FAIL, ctx, details)
+        return FAIL, details
 
     details["seed"] = str(seed)
     details["prime"] = DEFAULT_PRIME
@@ -659,18 +686,14 @@ def verify_factorization(
     ]
     if bad:
         details["mismatches"] = bad
-        return CheckResult("factorization", FAIL, ctx, details)
-    return CheckResult("factorization", PASS, ctx, details)
+        return FAIL, details
+    return PASS, details
 
 
 def beta_independence_check(complex_: FaceComplex, apartment=None) -> CheckResult:
     """Standalone report entry for multiplicity well-definedness."""
-    where, chambers, non_chambers = resolve_apartment(complex_, apartment)
-    betas, mismatches = beta_independence(complex_, non_chambers, chambers)
-    details = {"faces_checked": len(non_chambers), "betas": betas}
-    if mismatches:
-        details["mismatches"] = mismatches
-    status = FAIL if mismatches else PASS
+    where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
+    status, details = beta_details(complex_, chambers, non_chambers, ids)
     return CheckResult("beta_independence", status, {"apartment": where}, details)
 
 

@@ -1,9 +1,10 @@
 """Seeded corpus of small random line arrangements for sweep-style tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from varchenko.geometry import Arrangement, Hyperplane
+from varchenko.geometry import Arrangement, Hyperplane, canonical
 
 # Degenerate input the bundled files lack: parallel classes, concurrent
 # hyperplanes and a pencil of planes in R^3 (it fails lemma_chm by design).
@@ -14,8 +15,32 @@ DEGENERATE = {
 }
 
 
+def distinct_hyperplanes(n, coeff_bound) -> int:
+    """How many distinct hyperplanes of R^n have integer data in
+    [-coeff_bound, coeff_bound]."""
+    values = range(-coeff_bound, coeff_bound + 1)
+    return len(
+        {
+            canonical(data[:n], data[n])[0]
+            for data in itertools.product(values, repeat=n + 1)
+            if any(data[:n])
+        }
+    )
+
+
 def random_arrangement(seed, n=2, m=4, coeff_bound=3) -> Arrangement:
-    """A random arrangement with small integer data; duplicates rejected."""
+    """A random arrangement with small integer data; duplicates rejected.
+    Raises ValueError when m exceeds the distinct hyperplanes the bound
+    allows, which would leave the draw without an end."""
+    # the hyperplanes x_i = b alone are n (2 coeff_bound + 1) distinct ones
+    # (none when coeff_bound is 0), so only a larger m needs the full count
+    if m > (n * (2 * coeff_bound + 1) if coeff_bound else 0):
+        available = distinct_hyperplanes(n, coeff_bound)
+        if m > available:
+            raise ValueError(
+                f"m={m} exceeds the {available} distinct hyperplanes of R^{n} "
+                f"with coefficients in [-{coeff_bound}, {coeff_bound}]"
+            )
     rng = random.Random(f"arrangement:{seed}")
     hyperplanes = []
     seen = set()

@@ -167,6 +167,40 @@ def det_by_permutations(matrix) -> Polynomial:
     return total
 
 
+def det_at_dense(matrix, assignment, prime: int) -> int:
+    """Determinant of a `VMatrix` at one {VarId: int} assignment, mod prime:
+    every entry evaluated, then Gaussian elimination mod prime. The library
+    evaluates the `reduce_rows` residual instead."""
+    values = {var.index: v % prime for var, v in assignment.items()}
+    rows = []
+    for row in matrix.entries:
+        evaluated = []
+        for mask in row:
+            value = 1
+            for i in range(mask.bit_length()):
+                if mask >> i & 1:
+                    value = value * values[i] % prime
+            evaluated.append(value)
+        rows.append(evaluated)
+    n = len(rows)
+    det = 1
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        pivot = rows[col][col]
+        det = det * pivot % prime
+        inv = pow(pivot, prime - 2, prime)
+        for i in range(col + 1, n):
+            factor = rows[i][col] * inv % prime
+            if factor:
+                rows[i] = [(a - factor * b) % prime for a, b in zip(rows[i], rows[col])]
+    return det % prime
+
+
 # -- face algebra on sign vectors ---------------------------------------------
 #
 # References for the half-space masks of `varchenko.faces`: every operation

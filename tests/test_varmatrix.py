@@ -39,6 +39,7 @@ from varchenko.varmatrix import (
 from oracles import (
     Polynomial,
     central_apartment_around,
+    det_at_dense,
     det_by_permutations,
     eval_mod_p,
     m_vector,
@@ -317,11 +318,12 @@ def cyclic_complex(m):
 
 
 def assert_det_symbolic_matches_det_at(matrix, seed):
-    """det_symbolic evaluated at 3 seeded assignments equals det_at there."""
+    """det_symbolic evaluated at 3 seeded assignments equals the dense
+    evaluation there, which shares no row operation with either route."""
     det = det_symbolic(matrix)
     for trial in range(3):
         assignment = modular_assignment(matrix.nvars, seed, trial, DEFAULT_PRIME)
-        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at(
+        assert eval_mod_p(det, assignment, DEFAULT_PRIME) == det_at_dense(
             matrix, assignment, DEFAULT_PRIME
         )
 
@@ -424,6 +426,71 @@ def test_det_modular_deterministic(crossing):
     )
 
 
+def test_det_at_matches_dense_oracle_on_varchenko_matrices(complexes):
+    # every apartment of the bundled arrangements and of cyclic_complex(5),
+    # plus the 22 chambers of cyclic_complex(6), which row operations
+    # leave a residual of one strongly connected block
+    matrices = [
+        varchenko_matrix(chambers)
+        for complex_ in [*complexes.values(), cyclic_complex(5)]
+        for chambers in apartment_chambers(complex_)
+    ]
+    matrices.append(varchenko_matrix(cyclic_complex(6).chambers()))
+    for n, matrix in enumerate(matrices):
+        for prime in (101, DEFAULT_PRIME):
+            assignment = modular_assignment(matrix.nvars, "residual", n, prime)
+            assert det_at(matrix, assignment, prime) == det_at_dense(
+                matrix, assignment, prime
+            )
+
+
+def leaves_a_row_unreduced(rows, nvars):
+    """Whether some row still holds a variable h^+ alone off the diagonal:
+    the row operation for h was tried on that row and did not apply."""
+    plus = {1 << k for k in range(0, nvars, 2)}
+    return any(
+        e in plus for i, row in enumerate(rows) for j, e in enumerate(row) if j != i
+    )
+
+
+def test_det_at_matches_dense_oracle_where_rows_stay_unreduced():
+    # distance matrices of random chamber sides, each with one entry
+    # replaced by an arbitrary mask, so the row operations apply to some
+    # rows and not to others
+    rng = random.Random(18)
+    mixed = 0
+    for case in range(300):
+        n, m = rng.randint(2, 7), rng.randint(1, 4)
+        sides = [sum(1 << 2 * h + rng.randint(0, 1) for h in range(m)) for _ in range(n)]
+        entries = [[sides[c] & ~sides[r] for c in range(n)] for r in range(n)]
+        entries[rng.randrange(n)][rng.randrange(n)] = rng.randrange(1 << 2 * m)
+        matrix = VMatrix(range(n), entries, 2 * m)
+        rows, counts = reduce_rows(matrix)
+        mixed += sum(counts) > 0 and leaves_a_row_unreduced(rows, matrix.nvars)
+        for prime in (101, DEFAULT_PRIME):
+            assignment = modular_assignment(matrix.nvars, "unreduced", case, prime)
+            assert det_at(matrix, assignment, prime) == det_at_dense(
+                matrix, assignment, prime
+            )
+    assert mixed >= 20
+
+
+def test_det_at_is_zero_where_a_pulled_out_factor_vanishes(r1):
+    # 2 * 51 = 102 = 1 mod 101, so the factor (1 - h^+ h^-) is 0 at h^+ = 2,
+    # h^- = 51 and so is the determinant, which it divides
+    rng = random.Random(18)
+    for matrix in (
+        varchenko_matrix(r1.chambers()),
+        varchenko_matrix(cyclic_complex(5).chambers()),
+    ):
+        counts = reduce_rows(matrix)[1]
+        for h in (h for h, k in enumerate(counts) if k):
+            assignment = {var_of_index(i): rng.randrange(101) for i in range(matrix.nvars)}
+            assignment[VarId(h, PLUS)], assignment[VarId(h, MINUS)] = 2, 51
+            assert det_at(matrix, assignment, 101) == 0
+            assert det_at_dense(matrix, assignment, 101) == 0
+
+
 def test_multiplicity_examples(r1, crossing, two_pairs):
     face = two_pairs.find((MINUS, MINUS, ZERO, ZERO))
     assert multiplicity(two_pairs, face, 2, two_pairs.chambers()) == 0
@@ -491,7 +558,10 @@ def test_verify_factorization_passes(r1, crossing, two_pairs):
     ],
     ids=["square-of-weight", "carry-onto-weight"],
 )
-def test_factorization_packs_both_sides_in_one_width(r1, monkeypatch, powers, exponent):
+def test_factorization_packs_both_sides_in_one_width(monkeypatch, powers, exponent):
+    # a fresh complex: the session's one holds memoized factorization
+    # details, made with the product formula that this test replaces
+    r1 = enumerate_faces(parse_arrangement(bundled_text("r1.arr")))
     matrix = varchenko_matrix(r1.chambers())
     assert shared_packing(matrix).width == 1
     b = Polynomial.monomial(matrix.nvars, powers)
