@@ -9,10 +9,11 @@ where a.x > b.
 Matrix file: header ``vmatrix <size> <num_hyperplanes>``, then size^2
 polynomial entries in row-major order, one per line, in the canonical text
 form of the polynomial module, each a square-free monomial with
-coefficient 1, kept as its variable mask. Entries are read sparsely, so
-parsing costs follow the file, not the header. The factors of an expected
-product are exponent tuples with one slot per ring variable, two per
-declared hyperplane, so the header may declare at most MAX_HYPERPLANES.
+coefficient 1, kept as its variable mask. Entries and the factors of an
+expected product are read as sparse monomials, so their cost follows the
+text, not the header. The header may still declare at most MAX_HYPERPLANES,
+since row reduction keeps a count per declared hyperplane and the modular
+route draws a value per declared variable.
 """
 
 from __future__ import annotations
@@ -177,14 +178,14 @@ def _entry_mask(terms, r, c) -> int:
     """The variable mask of entry (r, c), given as `read_terms` output,
     which must be 1 on the diagonal and a square-free monomial with
     coefficient 1 everywhere."""
-    if r == c and terms != [(1, {})]:
+    if r == c and terms != [(1, ())]:
         raise ValueError(f"diagonal entry ({r},{r}) is not 1")
     if len(terms) != 1:
         raise ValueError(f"off-diagonal entry ({r},{c}) is not a monomial")
-    ((coef, powers),) = terms
-    if coef != 1 or any(e > 1 for e in powers.values()):
+    ((coef, mono),) = terms
+    if coef != 1 or any(e > 1 for _, e in mono):
         raise ValueError(f"entry ({r},{c}) must be square-free with coefficient 1")
-    return sum(1 << i for i in powers)
+    return sum(1 << i for i, _ in mono)
 
 
 def serialize_matrix(matrix: VMatrix, num_hyperplanes: int) -> str:

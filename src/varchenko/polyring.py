@@ -3,21 +3,23 @@ h_i^-, and the Polynomial value that the library returns and prints.
 
 Hyperplane i (0-based, printed 1-based as h1, h2, ...) gives the variables
 h_i^+ and h_i^- the indices 2i and 2i + 1, the bits of a `Face.half` mask.
-A monomial is an exponent tuple of length nvars; a Polynomial maps
-exponent tuples to nonzero coefficients. Only this module reads or writes
-the text form, and it does no arithmetic: the library computes on masks
-and packed keys, and the tests keep a ring of their own.
+A monomial is a tuple of (variable index, exponent) pairs, indices
+increasing and exponents positive, with () for 1, so its size follows the
+variables that occur, not the ring; a Polynomial maps monomials to nonzero
+coefficients. Only this module reads or writes the text form, and it does
+no arithmetic: the library computes on masks and packed keys, and the tests
+keep a ring of their own.
 
 Text form (bit-exact, round-trips through parse_polynomial): terms in
-graded-lex ascending order (degree, then exponent tuple) joined by ' + ' or
-' - ', each with an explicit coefficient, e.g. "0", "1", "1 - 1 * h1^+
-h1^-", "2 * h2^+^3 h4^-". Exponent 1 is implicit; higher powers append "^e".
+graded-lex ascending order (degree, then exponents with h1^+ most
+significant) joined by ' + ' or ' - ', each with an explicit coefficient,
+e.g. "0", "1", "1 - 1 * h1^+ h1^-", "2 * h2^+^3 h4^-". Exponent 1 is
+implicit; higher powers append "^e".
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress, count, islice
 from typing import NamedTuple
 
 from .geometry import MINUS, PLUS
@@ -43,7 +45,7 @@ def var_of_index(index: int) -> VarId:
 
 class Polynomial:
     """Immutable sparse polynomial with exact integer coefficients, as
-    {exponent tuple: coefficient}."""
+    {monomial: coefficient} in a ring of `nvars` variables."""
 
     __slots__ = ("nvars", "terms")
 
@@ -72,15 +74,17 @@ def assignment_values(assignment, nvars: int, prime: int):
     return values
 
 
-def nonzero_indices(mono):
-    """The indices of the nonzero exponents of an exponent tuple, lowest
-    first; the scan stops at the last of them."""
-    return islice(compress(count(), mono), len(mono) - mono.count(0))
+def set_bits(mask: int):
+    """The indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def mask_exponents(mask: int, nvars: int) -> tuple:
-    """The exponent tuple of the square-free monomial of a variable mask."""
-    return tuple(mask >> i & 1 for i in range(nvars))
+def mask_monomial(mask: int) -> tuple:
+    """The square-free monomial of a variable mask."""
+    return tuple((i, 1) for i in set_bits(mask))
 
 
 def weight(face) -> Polynomial:
@@ -88,54 +92,46 @@ def weight(face) -> Polynomial:
     the variables of the face's `zero` mask."""
     if face.is_chamber:
         raise ValueError(f"chambers have no weight, got {face!r}")
-    nvars = 2 * len(face.signs)
-    return Polynomial(nvars, {mask_exponents(face.zero, nvars): 1})
+    return Polynomial(2 * len(face.signs), {mask_monomial(face.zero): 1})
 
 
 # -- printing ---------------------------------------------------------------
 
 
+def lex_key(mono):
+    """Sort key of a monomial that orders it as lex orders exponent vectors,
+    h1^+ most significant: by the exponent at the first variable where two
+    monomials differ, a variable that is absent having exponent 0."""
+    return [(-i, e) for i, e in mono]
+
+
 def _graded_lex(term):
-    """Sort key of a (coefficient, {variable index: exponent}) term that
-    orders it as graded lex orders exponent tuples: by degree, then by the
-    exponent at the first index where two tuples differ."""
-    powers = sorted(term[1].items())
-    return sum(e for _, e in powers), [(-i, e) for i, e in powers]
+    """Sort key of a (coefficient, monomial) term: degree, then `lex_key`."""
+    mono = term[1]
+    return sum(e for _, e in mono), lex_key(mono)
 
 
-def _format_term(coef: int, powers) -> str:
-    parts = [
-        var_of_index(i).label() + (f"^{e}" if e > 1 else "")
-        for i, e in sorted(powers.items())
-    ]
+def format_monomial(mono, coef: int = 1) -> str:
+    """Canonical text of a term, coefficient 1 by default."""
+    parts = [var_of_index(i).label() + (f"^{e}" if e > 1 else "") for i, e in mono]
     return f"{coef} * {' '.join(parts)}" if parts else str(coef)
 
 
 def format_terms(terms) -> str:
-    """Canonical text of [(coefficient, {variable index: exponent})] terms
-    with distinct monomials, the inverse of `read_terms`; it reads only the
-    variables that occur."""
+    """Canonical text of [(coefficient, monomial)] terms with distinct
+    monomials, the inverse of `read_terms`."""
     if not terms:
         return "0"
-    (coef, powers), *rest = sorted(terms, key=_graded_lex)
-    pieces = [_format_term(coef, powers)]
-    for coef, powers in rest:
-        pieces += [" + " if coef > 0 else " - ", _format_term(abs(coef), powers)]
+    (coef, mono), *rest = sorted(terms, key=_graded_lex)
+    pieces = [format_monomial(mono, coef)]
+    for coef, mono in rest:
+        pieces += [" + " if coef > 0 else " - ", format_monomial(mono, abs(coef))]
     return "".join(pieces)
 
 
 def format_polynomial(poly: Polynomial) -> str:
     """Canonical text of a Polynomial; see `format_terms`."""
-    return format_terms([(c, _powers(m)) for m, c in poly.terms.items()])
-
-
-def format_monomial(mono) -> str:
-    """Canonical text of the monomial of an exponent tuple, coefficient 1."""
-    return _format_term(1, _powers(mono))
-
-
-def _powers(mono) -> dict:
-    return {i: mono[i] for i in nonzero_indices(mono)}
+    return format_terms([(c, m) for m, c in poly.terms.items()])
 
 
 # -- parsing ----------------------------------------------------------------
@@ -144,25 +140,24 @@ _VAR_RE = re.compile(r"^h(\d+)\^([+-])(?:\^(\d+))?$")
 
 
 def read_terms(text: str, nvars: int):
-    """The terms of the text form as [(coefficient, {variable index:
-    exponent})], like terms merged and zero terms dropped; the coefficient
-    `1 *` may be omitted. Its size follows the text, not nvars."""
+    """The terms of the text form as [(coefficient, monomial)], like terms
+    merged and zero terms dropped; the coefficient `1 *` may be omitted.
+    Its size follows the text, not nvars."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
     chunks = re.split(r"\s+([+-])\s+", text)
     merged: dict = {}
     for sign, chunk in zip(["+", *chunks[1::2]], chunks[::2]):
-        coef, powers = _read_term(chunk, nvars)
-        key = tuple(sorted(powers.items()))
-        merged[key] = merged.get(key, 0) + (coef if sign == "+" else -coef)
-    return [(coef, dict(key)) for key, coef in merged.items() if coef]
+        coef, mono = _read_term(chunk, nvars)
+        merged[mono] = merged.get(mono, 0) + (coef if sign == "+" else -coef)
+    return [(coef, mono) for mono, coef in merged.items() if coef]
 
 
 def _read_term(chunk: str, nvars: int):
     head, star, tail = chunk.partition("*")
     if not star and re.fullmatch(r"-?\d+", chunk.strip()):
-        return int(chunk), {}
+        return int(chunk), ()
     coef, vars_text = (int(head.strip()), tail) if star else (1, chunk)
     powers: dict = {}
     for token in vars_text.split():
@@ -177,19 +172,9 @@ def _read_term(chunk: str, nvars: int):
             raise ValueError(f"variable {var.label()} outside ring with {nvars} slots")
         exponent = int(match.group(3)) if match.group(3) else 1
         powers[var.index] = powers.get(var.index, 0) + exponent
-    return coef, {i: e for i, e in powers.items() if e}
-
-
-def exponent_tuple(powers, nvars: int) -> tuple:
-    """The exponent tuple of a {variable index: exponent} monomial."""
-    mono = [0] * nvars
-    for i, e in powers.items():
-        mono[i] = e
-    return tuple(mono)
+    return coef, tuple(sorted((i, e) for i, e in powers.items() if e))
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse the canonical text form (coefficient `1 *` may be omitted)."""
-    return Polynomial(
-        nvars, {exponent_tuple(p, nvars): c for c, p in read_terms(text, nvars)}
-    )
+    return Polynomial(nvars, {m: c for c, m in read_terms(text, nvars)})

@@ -8,7 +8,7 @@ same chamber order, so the determinant does not depend on that order.
 A distance is a square-free monomial with coefficient 1, so `v` and every
 matrix entry are the half-space mask (`Face.half` bits) of that monomial.
 The identity checks compare masks, the determinant spreads each mask into
-a packed key, and each face weight is an exponent tuple (an expected
+a packed key, and each face weight is a `polyring` monomial (an expected
 product read from text may hold weights that are not square-free).
 """
 
@@ -26,11 +26,11 @@ from .faces import Face, FaceComplex, centralization, closure_faces
 from .polyring import (
     Polynomial,
     assignment_values,
-    exponent_tuple,
     format_monomial,
     format_terms,
-    mask_exponents,
-    nonzero_indices,
+    lex_key,
+    mask_monomial,
+    set_bits,
     var_of_index,
 )
 from .report import FAIL, PASS, CheckResult
@@ -112,17 +112,8 @@ class VMatrix:
     def entry_texts(self):
         """The entries in the canonical polynomial text form, row by row."""
         return [
-            [format_monomial(mask_exponents(e, self.nvars)) for e in row]
-            for row in self.entries
+            [format_monomial(mask_monomial(e)) for e in row] for row in self.entries
         ]
-
-
-def set_bits(mask: int):
-    """The indices of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def varchenko_matrix(chambers) -> VMatrix:
@@ -160,25 +151,22 @@ class Packing(NamedTuple):
         return sum(1 << i * w for i in set_bits(mask))
 
     def key(self, mono) -> int:
-        """The key of the monomial of an exponent tuple."""
+        """The key of a monomial."""
         w = self.width
-        return sum(mono[i] << i * w for i in nonzero_indices(mono))
+        return sum(e << i * w for i, e in mono)
 
     def terms(self, packed):
-        """[(coefficient, {variable index: exponent})] of a {key:
-        coefficient} dict, reading only the nonzero fields of each key."""
+        """[(coefficient, monomial)] of a {key: coefficient} dict, reading
+        only the nonzero fields of each key."""
         w, field = self.width, (1 << self.width) - 1
         return [
-            (coef, {i // w: key >> i - i % w & field for i in set_bits(key)})
+            (coef, tuple({i // w: key >> i - i % w & field for i in set_bits(key)}.items()))
             for key, coef in packed.items()
         ]
 
     def polynomial(self, packed) -> Polynomial:
         """The Polynomial of a {key: coefficient} dict."""
-        return Polynomial(
-            self.nvars,
-            {exponent_tuple(p, self.nvars): c for c, p in self.terms(packed)},
-        )
+        return Polynomial(self.nvars, {m: c for c, m in self.terms(packed)})
 
 
 def _row_supports(rows):
@@ -311,8 +299,9 @@ def det_packed(matrix: VMatrix, packing: Packing):
             if kept:
                 level[mask] = kept
     det = level.get((1 << len(keys)) - 1, {})
-    for h in nonzero_indices(counts):
-        det = _times_factor_power(det, packing.spread(3 << 2 * h), counts[h])
+    for h, k in enumerate(counts):
+        if k:
+            det = _times_factor_power(det, packing.spread(3 << 2 * h), k)
     return det
 
 
@@ -394,8 +383,9 @@ def det_at(matrix: VMatrix, assignment, prime: int, reduced=None) -> int:
     values = assignment_values(assignment, matrix.nvars, prime)
     det = _det_mod([[0 if e is None else prod(values[i] for i in set_bits(e)) % prime
                      for e in row] for row in rows], prime)
-    for h in nonzero_indices(counts):
-        det = det * pow(1 - values[2 * h] * values[2 * h + 1], counts[h], prime) % prime
+    for h, k in enumerate(counts):
+        if k:
+            det = det * pow(1 - values[2 * h] * values[2 * h + 1], k, prime) % prime
     return det
 
 
@@ -505,31 +495,40 @@ def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
 
 
 class FactoredDet:
-    """The product prod (1 - b_F)^{beta_F} in factored form, each weight
-    b_F a monomial with coefficient 1, kept as its exponent tuple."""
+    """The product prod (1 - b_F)^{beta_F} in factored form, as `factors`
+    {weight monomial: total exponent}: each weight b_F a nonconstant
+    monomial with coefficient 1, equal weights merged, zero exponents
+    dropped, in the order of `text()`."""
 
     __slots__ = ("nvars", "factors")
 
     def __init__(self, nvars, factors):
-        # factors: list of (face_id, weight exponent tuple, exponent)
+        """`factors`: (weight monomial, exponent) pairs."""
+        totals: dict = {}
+        for mono, exponent in factors:
+            if exponent:
+                totals[mono] = totals.get(mono, 0) + exponent
         self.nvars = nvars
-        self.factors = list(factors)
+        # by the first variable of the weight, then by the weight
+        self.factors = dict(
+            sorted(totals.items(), key=lambda item: (item[0][0][0], lex_key(item[0])))
+        )
 
     def bounds(self):
-        """Per variable, the sum over factors of exponent times the
-        weight's exponent. This is the exponent vector of the product's
-        top term, so no term exceeds it and its sum is the degree."""
-        bounds = [0] * self.nvars
-        for _, mono, exponent in self.factors:
-            for i in nonzero_indices(mono):
-                bounds[i] += exponent * mono[i]
-        return bounds
+        """Per occurring variable, the sum over factors of exponent times
+        the weight's exponent. These are the exponents of the product's top
+        term, so no term exceeds them and their sum is the degree."""
+        bounds: dict = {}
+        for mono, exponent in self.factors.items():
+            for i, e in mono:
+                bounds[i] = bounds.get(i, 0) + exponent * e
+        return list(bounds.values())
 
     def packed(self, packing: Packing):
         """The expanded product as a {key: coefficient} dict in `packing`,
-        which must cover `bounds()`. It runs over the `grouped()` factors."""
+        which must cover `bounds()`."""
         result = {0: 1}
-        for mono, exponent in self.grouped():
+        for mono, exponent in self.factors.items():
             result = _times_factor_power(result, packing.key(mono), exponent)
         return result
 
@@ -540,39 +539,25 @@ class FactoredDet:
     def eval_mod(self, assignment, prime: int) -> int:
         values = assignment_values(assignment, self.nvars, prime)
         value = 1
-        for _, mono, exponent in self.factors:
-            if exponent:
-                b = prod(pow(values[i], mono[i], prime) for i in nonzero_indices(mono))
-                value = value * pow((1 - b) % prime, exponent, prime) % prime
+        for mono, exponent in self.factors.items():
+            b = prod(pow(values[i], e, prime) for i, e in mono)
+            value = value * pow((1 - b) % prime, exponent, prime) % prime
         return value
-
-    def grouped(self):
-        """Factors with equal weights merged: [(weight exponent tuple, total
-        exponent)], by the first variable of the weight, then by the tuple."""
-        totals: dict = {}
-        for _, mono, exponent in self.factors:
-            if exponent:
-                totals[mono] = totals.get(mono, 0) + exponent
-        return sorted(
-            totals.items(), key=lambda item: (next(nonzero_indices(item[0])), item[0])
-        )
 
     def text(self) -> str:
         pieces = [
             f"(1 - {format_monomial(mono)})^{exponent}"
-            for mono, exponent in self.grouped()
+            for mono, exponent in self.factors.items()
         ]
         return " ".join(pieces) if pieces else "1"
 
 
 def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> FactoredDet:
     """Assemble the factored determinant from faces and their multiplicities."""
-    nvars = 2 * complex_.arrangement.size
-    factors = [
-        (face.id, mask_exponents(face.zero, nvars), betas[face.id])
-        for face in non_chamber_faces
-    ]
-    return FactoredDet(nvars, factors)
+    return FactoredDet(
+        2 * complex_.arrangement.size,
+        [(mask_monomial(face.zero), betas[face.id]) for face in non_chamber_faces],
+    )
 
 
 def resolve_apartment(complex_: FaceComplex, apartment):

@@ -13,10 +13,21 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _times(mono_a, mono_b):
+    """The product of two monomials, as tuples of (variable index,
+    exponent) pairs with increasing indices."""
+    powers = dict(mono_a)
+    for i, e in mono_b:
+        powers[i] = powers.get(i, 0) + e
+    return tuple(sorted(powers.items()))
+
+
 class Polynomial(polyring.Polynomial):
     """The library's polynomial value with sparse ring arithmetic, for
     reference computations. Instances compare equal to the library's values
-    of the same terms, in both directions."""
+    of the same terms, in both directions. A monomial is a tuple of
+    (variable index, exponent) pairs, indices increasing and exponents
+    positive, with () for 1."""
 
     __slots__ = ()
 
@@ -30,7 +41,7 @@ class Polynomial(polyring.Polynomial):
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: int(value)})
+        return cls(nvars, {(): int(value)})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -44,12 +55,13 @@ class Polynomial(polyring.Polynomial):
     def square_free(cls, nvars: int, mask: int) -> "Polynomial":
         """The product of the variables whose `VarId.index` bits are set in
         mask, with coefficient 1; mask 0 gives the constant 1."""
-        return cls(nvars, {polyring.mask_exponents(mask, nvars): 1})
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        return cls(nvars, {tuple((i, 1) for i in bits): 1})
 
     @classmethod
     def monomial(cls, nvars: int, powers, coefficient: int = 1):
         """Single term from {VarId: exponent} powers."""
-        expo = [0] * nvars
+        mono = ()
         for var, e in powers.items():
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
@@ -57,23 +69,29 @@ class Polynomial(polyring.Polynomial):
                 raise ValueError(
                     f"variable {var.label()} outside ring with {nvars} slots"
                 )
-            expo[var.index] += e
-        return cls(nvars, {tuple(expo): int(coefficient)})
+            if e:
+                mono = _times(mono, ((var.index, e),))
+        return cls(nvars, {mono: int(coefficient)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return self.terms == {(): 1}
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get((), 0)
 
     def leading_term(self):
-        """(monomial, coefficient) maximal in graded lex order."""
+        """(monomial, coefficient) maximal in graded lex order: by degree,
+        then by the exponent of the first variable where two monomials
+        differ, h1^+ first."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=lambda m: (sum(m), m))
+        mono = max(
+            self.terms,
+            key=lambda m: (sum(e for _, e in m), [(-i, e) for i, e in m]),
+        )
         return mono, self.terms[mono]
 
     def _check(self, other):
@@ -100,7 +118,7 @@ class Polynomial(polyring.Polynomial):
         out: dict = {}
         for mono_a, coef_a in self.terms.items():
             for mono_b, coef_b in other.terms.items():
-                key = tuple(x + y for x, y in zip(mono_a, mono_b))
+                key = _times(mono_a, mono_b)
                 out[key] = out.get(key, 0) + coef_a * coef_b
         return Polynomial(self.nvars, out)
 
@@ -122,13 +140,12 @@ def eval_mod_p(poly, assignment, prime: int) -> int:
     total = 0
     for mono, coef in poly.terms.items():
         product = coef
-        for i, e in enumerate(mono):
-            if e:
-                if i not in values:
-                    raise ValueError(
-                        f"assignment misses variable {var_of_index(i).label()}"
-                    )
-                product = product * pow(values[i], e, prime)
+        for i, e in mono:
+            if i not in values:
+                raise ValueError(
+                    f"assignment misses variable {var_of_index(i).label()}"
+                )
+            product = product * pow(values[i], e, prime)
         total = (total + product) % prime
     return total
 
@@ -709,18 +726,15 @@ def zero_substitution(poly: Polynomial, hyperplanes) -> Polynomial:
     kept = {
         mono: coef
         for mono, coef in poly.terms.items()
-        if not any(mono[i] for i in killed)
+        if not any(i in killed for i, _ in mono)
     }
     return Polynomial(poly.nvars, kept)
 
 
 def relabel(mono, perm):
-    """An exponent tuple with hyperplane i renamed perm[i]: the exponents
-    of h_i^+ and h_i^- move to h_perm[i]^+ and h_perm[i]^-."""
-    out = [0] * len(mono)
-    for i, new in enumerate(perm):
-        out[2 * new : 2 * new + 2] = mono[2 * i : 2 * i + 2]
-    return tuple(out)
+    """A monomial with hyperplane i renamed perm[i]: the exponents of h_i^+
+    and h_i^- move to h_perm[i]^+ and h_perm[i]^-."""
+    return tuple(sorted((2 * perm[i // 2] + i % 2, e) for i, e in mono))
 
 
 def relabel_polynomial(poly, perm) -> Polynomial:

@@ -6,8 +6,9 @@ import pytest
 
 from varchenko import cli
 from varchenko.cli import build_parser, main, parse_expected_product
-from varchenko.files import bundled_text
+from varchenko.files import bundled_text, parse_matrix
 from varchenko.polyring import VarId
+from varchenko.varmatrix import det_symbolic
 from varchenko.geometry import PLUS, MINUS
 from oracles import Polynomial
 
@@ -380,12 +381,24 @@ def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
         (["faces", "nope.arr"], "cannot read"),
         (["detfile", "nope.vmx"], "cannot read"),
         (["verify", "r1.arr", "--checks", "tits,bogus"], "unknown checks"),
+        # a run that checks nothing must not report success
+        (["verify", "r1.arr", "--checks", ","], "names no check"),
+        (["verify", "r1.arr", "--checks", ""], "names no check"),
+        (["verify", "r1.arr", "--checks", " , "], "names no check"),
         (
             ["detfile", "two_pairs_apartment.vmx", "--expected", "garbage"],
             "unparsed trailing text",
         ),
     ],
-    ids=["unreadable-arr", "unreadable-vmx", "unknown-check", "bad-expected"],
+    ids=[
+        "unreadable-arr",
+        "unreadable-vmx",
+        "unknown-check",
+        "checks-comma",
+        "checks-empty",
+        "checks-blank",
+        "bad-expected",
+    ],
 )
 def test_errors_outside_a_file_name_no_line(data_dir, capsys, argv, message):
     argv = [argv[0], str(data_dir / argv[1]), *argv[2:]]
@@ -435,6 +448,36 @@ def test_detfile_cost_does_not_grow_with_declared_hyperplanes(tmp_path, capsys):
     big_s, big_out = cpu_seconds(big)
     assert big_out == small_out and "verified: True" in big_out
     assert big_s <= 5 * small_s, (big_s, small_s)
+
+
+def test_monomials_hold_only_the_variables_that_occur(tmp_path, capsys):
+    # Declaring 10,000 hyperplanes makes a ring of 20,000 variables, of
+    # which the matrix and the product use 6; a monomial lists the
+    # variables it holds, so none grows with the header.
+    text = bundled_text("two_pairs_apartment.vmx")
+    small, big = tmp_path / "small.vmx", tmp_path / "big.vmx"
+    small.write_text(text)
+    big.write_text(text.replace("vmatrix 6 4\n", "vmatrix 6 10000\n"))
+    matrix = parse_matrix(big.read_text())
+    occurring = {
+        i for row in matrix.entries for e in row for i in range(e.bit_length())
+        if e >> i & 1
+    }
+    factored = parse_expected_product(PAPER_PRODUCT, 20_000)
+    assert len(occurring) == 6 and matrix.nvars == factored.nvars == 20_000
+    for monomials in (
+        det_symbolic(matrix).terms,
+        factored.expand().terms,
+        factored.factors,
+    ):
+        assert all(len(mono) <= len(occurring) for mono in monomials)
+
+    outputs = []
+    for path in (small, big):
+        argv = ["detfile", str(path), "--json", "--expected", PAPER_PRODUCT]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_mode_help_names_the_symbolic_threshold(monkeypatch, capsys):

@@ -35,6 +35,7 @@ from varchenko.geometry import (
     side_of,
 )
 from varchenko.lp import solve_lp
+from conftest import check_counts
 from corpus import DEGENERATE, random_arrangement
 
 
@@ -522,3 +523,4 @@ def test_faces_invariant_under_affine_maps(case):
         after.face_is_bounded(f) for f in after.faces
     ]
     assert _faces_json_rows(arrangement) == _faces_json_rows(moved)
+    assert check_counts(before) == check_counts(after)

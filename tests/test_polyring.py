@@ -27,9 +27,8 @@ def polynomials(draw, nvars=6, max_terms=4, max_exp=2, coef_bound=5):
     n_terms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n_terms):
-        mono = tuple(
-            draw(st.integers(0, max_exp)) for _ in range(nvars)
-        )
+        exponents = [draw(st.integers(0, max_exp)) for _ in range(nvars)]
+        mono = tuple((i, e) for i, e in enumerate(exponents) if e)
         coef = draw(st.integers(-coef_bound, coef_bound))
         if coef:
             terms[mono] = coef
@@ -47,12 +46,12 @@ def test_basic_identities():
 
 
 def test_zero_coefficients_are_dropped():
-    x = Polynomial(1, {(1,): 0})
+    x = Polynomial(1, {((0, 1),): 0})
     assert x.terms == {}
     assert x.is_zero()
     assert x == Polynomial.zero(1)
     assert (x * Polynomial.one(1)).is_zero()
-    y = Polynomial(1, {(0,): 2, (1,): 0})
+    y = Polynomial(1, {(): 2, ((0, 1),): 0})
     assert y == Polynomial.constant(1, 2)
     assert y * Polynomial.one(1) == y
 
@@ -121,10 +120,10 @@ def test_leading_term_graded_lex():
     # degree first, then lexicographic with h1^+ most significant
     p = var(0) ** 2 + var(0) * var(1)
     mono, coef = p.leading_term()
-    assert mono == (2, 0, 0, 0, 0, 0, 0, 0) and coef == 1
+    assert mono == ((0, 2),) and coef == 1
     q = var(0, MINUS) ** 2 + var(0) * var(0, MINUS)
     mono, _ = q.leading_term()
-    assert mono == (1, 1, 0, 0, 0, 0, 0, 0)
+    assert mono == ((0, 1), (1, 1))
     with pytest.raises(ValueError):
         Polynomial.zero(NV).leading_term()
 
@@ -161,7 +160,7 @@ def test_read_terms_merges_sparse_terms_and_inverts_format_terms():
     # variables that occur, like terms merge and zero exponents drop
     text = "2 - 1 * h1^+ h3^-^2 + h3^-^2 h1^+ + 1 * h2^+^0 h1^-"
     terms = read_terms(text, 10**6)
-    assert terms == [(2, {}), (1, {1: 1})]
+    assert terms == [(2, ()), (1, ((1, 1),))]
     assert format_terms(terms) == "2 + 1 * h1^-"
     assert read_terms(format_terms(terms), 4) == terms
     assert read_terms("0", 2) == [] and format_terms([]) == "0"

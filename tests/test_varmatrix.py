@@ -351,7 +351,10 @@ def test_symbolic_determinants_lie_in_z_of_y(complexes):
     for complex_ in [*complexes.values(), cyclic_complex(5)]:
         for chambers in apartment_chambers(complex_):
             for mono in det_symbolic(varchenko_matrix(chambers)).terms:
-                assert mono[0::2] == mono[1::2], ([c.id for c in chambers], mono)
+                powers = dict(mono)
+                assert all(
+                    powers.get(i ^ 1) == e for i, e in mono
+                ), ([c.id for c in chambers], mono)
 
 
 def test_det_symbolic_exponent_bound_fills_packed_field():
@@ -566,7 +569,7 @@ def test_factorization_packs_both_sides_in_one_width(monkeypatch, powers, expone
     assert shared_packing(matrix).width == 1
     b = Polynomial.monomial(matrix.nvars, powers)
     (mono,) = b.terms
-    factored = FactoredDet(matrix.nvars, [(None, mono, exponent)])
+    factored = FactoredDet(matrix.nvars, [(mono, exponent)])
     assert max(factored.bounds()) > 1
     monkeypatch.setattr(
         varmatrix, "product_formula", lambda complex_, faces, betas: factored
