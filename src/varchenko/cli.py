@@ -20,7 +20,7 @@ from .euler import lemma_ch_check, lemma_chm_check
 from .faces import enumerate_faces, format_signs
 from .files import arrangement_digest, parse_arrangement, parse_matrix
 from .geometry import CHAR_SIGNS
-from .polyring import format_terms, read_terms
+from .polyring import format_polynomial, read_terms
 from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport
 from .tits import rank, tits_semigroup_check
 from .varmatrix import (
@@ -30,11 +30,9 @@ from .varmatrix import (
     beta_details,
     beta_independence_check,
     compare_with_product,
-    det_packed,
     mad_recurrence_check,
     product_formula,
     resolve_apartment,
-    shared_packing,
     v_path_identity_check,
     varchenko_matrix,
     verify_factorization,
@@ -262,10 +260,9 @@ def cmd_varchenko(args) -> int:
     if beta_status == FAIL:
         payload["beta_mismatches"] = beta["mismatches"]
     if mode == "symbolic":
-        packing, determinant, expected = outcome
-        payload["determinant"] = format_terms(packing.terms(determinant))
-        payload["expanded_product"] = format_terms(packing.terms(expected))
-        verified = determinant == expected
+        verified, determinant = outcome
+        payload["determinant"] = determinant()
+        payload["expanded_product"] = format_polynomial(factored.expand())
     else:
         payload["seed"] = seed
         payload["prime"] = DEFAULT_PRIME
@@ -402,26 +399,12 @@ def cmd_detfile(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.file}: {exc}") from None
     matrix = parse_matrix(text)
-    expected = (
-        parse_expected_product(args.expected, matrix.nvars)
-        if args.expected
-        else None
-    )
-    packing = shared_packing(matrix, expected)
-    packed = det_packed(matrix, packing)
-    terms = packing.terms(packed)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "size": matrix.size,
-        "determinant": format_terms(terms),
-    }
-    verified = None
-    if expected is not None:
-        # Z[h] is a domain: unequal total degrees settle it without
-        # expanding; each factor (1 - b)^k adds k deg b to the degree
-        degree = max((sum(e for _, e in mono) for _, mono in terms), default=-1)
-        verified = sum(expected.bounds()) == degree
-        verified = verified and expected.packed(packing) == packed
+    expected = FactoredDet(matrix.nvars, ())  # 1, when only det V is asked for
+    if args.expected:
+        expected = parse_expected_product(args.expected, matrix.nvars)
+    _, (verified, determinant) = compare_with_product(matrix, expected, "symbolic", 0, 1)
+    payload = {"schema": SCHEMA_VERSION, "size": matrix.size, "determinant": determinant()}
+    if args.expected:
         payload["expected"] = expected.text()
         payload["verified"] = verified
 
@@ -430,10 +413,10 @@ def cmd_detfile(args) -> int:
     else:
         print(f"matrix size: {matrix.size}")
         print(f"determinant: {payload['determinant']}")
-        if verified is not None:
+        if args.expected:
             print(f"expected (factored): {payload['expected']}")
             print(f"verified: {verified}")
-    return 0 if verified in (None, True) else 1
+    return 0 if verified or not args.expected else 1
 
 
 def main(argv=None) -> int:

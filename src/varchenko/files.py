@@ -12,8 +12,7 @@ form of the polynomial module, each a square-free monomial with
 coefficient 1, kept as its variable mask. Entries and the factors of an
 expected product are read as sparse monomials, so their cost follows the
 text, not the header. The header may still declare at most MAX_HYPERPLANES,
-since row reduction keeps a count per declared hyperplane and the modular
-route draws a value per declared variable.
+since the modular route draws a value per declared variable.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from .polyring import (
     Polynomial,
     assignment_values,
     format_monomial,
+    format_polynomial,
     format_terms,
     lex_key,
     mask_monomial,
@@ -229,21 +230,21 @@ def _reduced_row(row, pivot, x: int, x_bar: int):
 
 def reduce_rows(matrix: VMatrix):
     """(rows, counts): the matrix after row operations that each divide one
-    factor (1 - h^+ h^-) out of the determinant, and per hyperplane h the
-    number of factors (1 - h^+ h^-) divided out; see `det_symbolic`. Only
+    factor (1 - h^+ h^-) out of the determinant, and {h: factors divided
+    out} over the hyperplanes h that gave one; see `det_symbolic`. Only
     hyperplanes whose h^+ occurs are tried: no row operation adds one."""
     rows = [list(row) for row in matrix.entries]
-    counts = [0] * (matrix.nvars // 2)
-    plus = ((1 << 2 * len(counts)) - 1) // 3  # the variables h^+
+    counts: dict = {}
+    plus = ((1 << matrix.nvars) - 1) // 3  # the variables h^+
     for k in set_bits(reduce(or_, _row_supports(rows), 0) & plus):
-        h, x = k // 2, 1 << k
+        x = 1 << k
         for i, row in enumerate(rows):
             j = next((c for c, e in enumerate(row) if e == x and c != i), None)
             if j is not None:
                 new = _reduced_row(row, rows[j], x, x << 1)
                 if new is not None:
                     rows[i] = new
-                    counts[h] += 1
+                    counts[k // 2] = counts.get(k // 2, 0) + 1
     return rows, counts
 
 
@@ -260,10 +261,9 @@ def _times_factor_power(packed, key: int, exponent: int):
     return {k: c for k, c in nxt.items() if c}
 
 
-def det_packed(matrix: VMatrix, packing: Packing):
-    """The determinant as a {key: coefficient} dict in `packing`, which must
-    cover the `shared_packing` of the matrix; see `det_symbolic`."""
-    rows, counts = reduce_rows(matrix)
+def expand_rows(rows, packing: Packing):
+    """The determinant of mask rows, None for zero, as a {key: coefficient}
+    dict in `packing`; see `det_symbolic`."""
     order = support_order(rows)
     keys = [
         [
@@ -298,11 +298,21 @@ def det_packed(matrix: VMatrix, packing: Packing):
             kept = {key: coef for key, coef in acc.items() if coef}
             if kept:
                 level[mask] = kept
-    det = level.get((1 << len(keys)) - 1, {})
-    for h, k in enumerate(counts):
-        if k:
-            det = _times_factor_power(det, packing.spread(3 << 2 * h), k)
+    return level.get((1 << len(keys)) - 1, {})
+
+
+def _times_pulled_out(det, counts, packing: Packing):
+    """det times (1 - h^+ h^-)^k for each {h: k} of `counts`."""
+    for h, k in counts.items():
+        det = _times_factor_power(det, packing.spread(3 << 2 * h), k)
     return det
+
+
+def det_packed(matrix: VMatrix, packing: Packing):
+    """The determinant as a {key: coefficient} dict in `packing`, which must
+    cover the `shared_packing` of the matrix; see `det_symbolic`."""
+    rows, counts = reduce_rows(matrix)
+    return _times_pulled_out(expand_rows(rows, packing), counts, packing)
 
 
 def det_symbolic(matrix: VMatrix) -> Polynomial:
@@ -321,7 +331,8 @@ def det_symbolic(matrix: VMatrix) -> Polynomial:
     entries on C's side and is zero elsewhere. `reduce_rows` does this for
     each hyperplane and each row in turn, checking every column on the
     current rows, so it is valid for any mask matrix; a row where some
-    column fails is left as it is.
+    column fails is left as it is. `det_packed` multiplies the pulled-out
+    factors back into det V'; `compare_with_product` compares det V' itself.
 
     Expansion. Level r holds the minors of the first r rows on every
     r-subset of columns, keyed by column bitmask. Adding row r to the
@@ -383,9 +394,8 @@ def det_at(matrix: VMatrix, assignment, prime: int, reduced=None) -> int:
     values = assignment_values(assignment, matrix.nvars, prime)
     det = _det_mod([[0 if e is None else prod(values[i] for i in set_bits(e)) % prime
                      for e in row] for row in rows], prime)
-    for h, k in enumerate(counts):
-        if k:
-            det = det * pow(1 - values[2 * h] * values[2 * h + 1], k, prime) % prime
+    for h, k in counts.items():
+        det = det * pow(1 - values[2 * h] * values[2 * h + 1], k, prime) % prime
     return det
 
 
@@ -532,6 +542,17 @@ class FactoredDet:
             result = _times_factor_power(result, packing.key(mono), exponent)
         return result
 
+    def divided(self, counts):
+        """The product over (1 - h^+ h^-)^k for each {h: k} of `counts`, or
+        None when some k exceeds the product's exponent of h^+ h^-."""
+        factors = dict(self.factors)
+        for h, k in counts.items():
+            weight = ((2 * h, 1), (2 * h + 1, 1))
+            if factors.get(weight, 0) < k:
+                return None
+            factors[weight] -= k
+        return FactoredDet(self.nvars, factors.items())
+
     def expand(self) -> Polynomial:
         packing = Packing.covering(self.nvars, self.bounds())
         return packing.polynomial(self.packed(packing))
@@ -594,18 +615,38 @@ def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, tri
 
     `mode` "auto" takes the symbolic route up to DEFAULT_SYMBOLIC_THRESHOLD
     chambers and the modular one beyond. Returns (mode, outcome): for
-    "symbolic" the outcome is (packing, determinant, expanded product),
-    both {key: coefficient} dicts in the `shared_packing` of the two; for
-    "modular" it is one (ModularTrial, product value) pair per trial, both
-    taken at the trial's assignment mod DEFAULT_PRIME.
+    "symbolic" (whether they are equal, a function returning the text of
+    det V, built only where it is printed); for "modular" one (ModularTrial,
+    product value) pair per trial, both taken at the trial's assignment mod
+    DEFAULT_PRIME.
+
+    Symbolic: det V = prod_h (1 - h^+ h^-)^{c_h} det V' (`reduce_rows`) in
+    the domain Z[h], so a product holding each (1 - h^+ h^-)^{c_h} equals
+    det V exactly when its quotient by them equals det V'. Otherwise (a
+    weight that is not square-free, such as h^+^2 h^-^2, may hold the
+    factor) det V is rebuilt and compared with the whole product. A product
+    prod (1 - b)^e holds its top term prod b^e with coefficient (-1)^(sum e),
+    so a side without it is told apart before the product is expanded.
     """
     if mode == "auto":
         mode = "symbolic" if matrix.size <= DEFAULT_SYMBOLIC_THRESHOLD else "modular"
     if mode == "symbolic":
         packing = shared_packing(matrix, factored)
-        return mode, (
-            packing, det_packed(matrix, packing), factored.packed(packing)
-        )
+        rows, counts = reduce_rows(matrix)
+        residual = expand_rows(rows, packing)
+        quotient = factored.divided(counts)
+        if quotient is None:  # compare det V with the whole product
+            residual, counts = _times_pulled_out(residual, counts, packing), {}
+            quotient = factored
+        top = sum(packing.key(mono) * e for mono, e in quotient.factors.items())
+        sign = (-1) ** sum(quotient.factors.values())
+        equal = residual.get(top) == sign and residual == quotient.packed(packing)
+
+        def determinant():
+            det = _times_pulled_out(residual, counts, packing)
+            return format_terms(packing.terms(det))
+
+        return mode, (equal, determinant)
     return mode, [
         (
             t,
@@ -650,11 +691,11 @@ def _factorization(complex_, chambers, non_chambers, ids, seed, trials):
     )
     details["mode"] = mode
     if mode == "symbolic":
-        packing, determinant, expected = outcome
-        if determinant == expected:
+        equal, determinant = outcome
+        if equal:
             return PASS, details
-        details["determinant"] = format_terms(packing.terms(determinant))
-        details["expected"] = format_terms(packing.terms(expected))
+        details["determinant"] = determinant()
+        details["expected"] = format_polynomial(factored.expand())
         return FAIL, details
 
     details["seed"] = str(seed)

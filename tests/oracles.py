@@ -7,7 +7,8 @@ from varchenko.apartments import enumerate_apartments
 from varchenko.geometry import MINUS, PLUS, ZERO, feasible_interior
 from varchenko.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from varchenko import polyring
-from varchenko.polyring import VarId, var_of_index
+from varchenko.polyring import VarId, format_terms, var_of_index
+from varchenko.varmatrix import det_packed, shared_packing
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -216,6 +217,19 @@ def det_at_dense(matrix, assignment, prime: int) -> int:
             if factor:
                 rows[i] = [(a - factor * b) % prime for a, b in zip(rows[i], rows[col])]
     return det % prime
+
+
+def full_comparison(matrix, factored):
+    """The symbolic comparison without cancelling the pulled-out factors:
+    det V with every factor multiplied back, against the whole product
+    expanded, both in the `shared_packing` of the two. Returns None when
+    they are equal, else the texts a failing factorization record shows,
+    (determinant, expanded product)."""
+    packing = shared_packing(matrix, factored)
+    det, product = det_packed(matrix, packing), factored.packed(packing)
+    if det == product:
+        return None
+    return format_terms(packing.terms(det)), format_terms(packing.terms(product))
 
 
 # -- face algebra on sign vectors ---------------------------------------------

@@ -8,7 +8,7 @@ from varchenko import cli
 from varchenko.cli import build_parser, main, parse_expected_product
 from varchenko.files import bundled_text, parse_matrix
 from varchenko.polyring import VarId
-from varchenko.varmatrix import det_symbolic
+from varchenko.varmatrix import det_symbolic, reduce_rows
 from varchenko.geometry import PLUS, MINUS
 from oracles import Polynomial
 
@@ -476,6 +476,30 @@ def test_monomials_hold_only_the_variables_that_occur(tmp_path, capsys):
     for path in (small, big):
         argv = ["detfile", str(path), "--json", "--expected", PAPER_PRODUCT]
         assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_pulled_out_counts_hold_only_the_hyperplanes_that_occur(tmp_path, capsys):
+    # reduce_rows keeps a count per hyperplane that gave a factor, not a
+    # slot per declared hyperplane, so 10,000 declared instead of 4 changes
+    # neither the counts nor what detfile prints
+    text = bundled_text("two_pairs_apartment.vmx")
+    small, big = tmp_path / "small.vmx", tmp_path / "big.vmx"
+    small.write_text(text)
+    big.write_text(text.replace("vmatrix 6 4\n", "vmatrix 6 10000\n"))
+    matrix = parse_matrix(big.read_text())
+    occurring = {
+        i // 2 for row in matrix.entries for e in row for i in range(e.bit_length())
+        if e >> i & 1
+    }
+    counts = reduce_rows(matrix)[1]
+    assert counts and set(counts) <= occurring
+    assert counts == reduce_rows(parse_matrix(text))[1]
+
+    outputs = []
+    for path in (small, big):
+        assert main(["detfile", str(path), "--json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 

@@ -1,0 +1,178 @@
+"""The symbolic factorization check compares the row-reduced residual det V'
+with the product formula divided by the pulled-out factors (1 - h^+ h^-)^c_h,
+and falls back to det V against the whole product when that quotient is not
+exact. Its verdict must be that of the full comparison in
+`oracles.full_comparison`, and a failing record must show the same texts."""
+
+import contextlib
+import io
+import random
+
+import pytest
+
+from varchenko import cli, varmatrix
+from varchenko.faces import enumerate_faces
+from varchenko.files import bundled_text, parse_arrangement
+from varchenko.polyring import mask_monomial
+from varchenko.varmatrix import (
+    DEFAULT_SYMBOLIC_THRESHOLD,
+    FactoredDet,
+    beta_details,
+    compare_with_product,
+    product_formula,
+    reduce_rows,
+    resolve_apartment,
+    varchenko_matrix,
+)
+from corpus import random_arrangement
+from oracles import full_comparison
+from test_apartment_memo import every_apartment
+
+
+def cyclic(m):
+    """The lines t x + y = t^2, t = 1..m, in general position."""
+    return "dim 2\n" + "".join(f"{t} 1 {t * t}\n" for t in range(1, m + 1))
+
+
+ARRANGEMENTS = {
+    "cyclic5": lambda: parse_arrangement(cyclic(5)),
+    "cyclic6": lambda: parse_arrangement(cyclic(6)),
+    "r3": lambda: parse_arrangement(bundled_text("r3.arr")),
+    "two_pairs": lambda: parse_arrangement(bundled_text("two_pairs.arr")),
+    "random_r2_m6": lambda: random_arrangement(0, n=2, m=6),
+    "random_r3_m5": lambda: random_arrangement(0, n=3, m=5),
+}
+
+
+def distinct_apartments(complex_):
+    """(chambers, non-chamber faces, ids) of every distinct apartment,
+    the full arrangement included."""
+    seen = {}
+    for apartment in [None, *every_apartment(complex_)]:
+        _, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
+        seen[ids] = chambers, non_chambers, ids
+    return list(seen.values())
+
+
+def formula(complex_, chambers, non_chambers, ids):
+    _, beta = beta_details(complex_, chambers, non_chambers, ids)
+    return product_formula(complex_, non_chambers, beta["betas"])
+
+
+def symbolic_verdict(matrix, factored):
+    mode, (equal, _) = compare_with_product(matrix, factored, "symbolic", 0, 1)
+    assert mode == "symbolic"
+    return equal
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_verdict_matches_full_comparison_on_every_apartment(name):
+    complex_ = enumerate_faces(ARRANGEMENTS[name]())
+    apartments = distinct_apartments(complex_)
+    for chambers, non_chambers, ids in apartments:
+        matrix = varchenko_matrix(chambers)
+        factored = formula(complex_, chambers, non_chambers, ids)
+        assert symbolic_verdict(matrix, factored) == (full_comparison(matrix, factored) is None)
+        assert factored.divided(reduce_rows(matrix)[1]) is not None, ids
+    assert len(apartments) > 30
+
+
+def with_exponent(factored, weight, exponent):
+    return FactoredDet(factored.nvars, {**factored.factors, weight: exponent}.items())
+
+
+def perturbations(factored, weights, counts):
+    """Each weight's exponent raised by 1 and, where positive, lowered by 1
+    (the products of some beta_F raised or lowered), then each
+    (1 - h^+ h^-) exponent set to c_h - 1, whose quotient by the pulled-out
+    factors is not exact."""
+    for weight in weights:
+        exponent = factored.factors.get(weight, 0)
+        yield with_exponent(factored, weight, exponent + 1)
+        if exponent:
+            yield with_exponent(factored, weight, exponent - 1)
+    for h, c in counts.items():
+        yield with_exponent(factored, ((2 * h, 1), (2 * h + 1, 1)), c - 1)
+
+
+def expected_record(matrix, factored):
+    """The (status, details) a symbolic factorization record holds for
+    `factored`: on a mismatch, the full expansions of both sides."""
+    texts = full_comparison(matrix, factored)
+    details = {"chambers": matrix.size, "factored": factored.text(), "mode": "symbolic"}
+    if texts is None:
+        return "pass", details
+    return "fail", {**details, "determinant": texts[0], "expected": texts[1]}
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_perturbed_products_give_the_full_comparison_records(name, monkeypatch):
+    # a failing record prints both expansions, so a seeded sample of the
+    # apartments that the "auto" mode takes symbolically keeps this short
+    complex_ = enumerate_faces(ARRANGEMENTS[name]())
+    symbolic = [
+        apartment for apartment in distinct_apartments(complex_)
+        if len(apartment[0]) <= DEFAULT_SYMBOLIC_THRESHOLD
+    ]
+    cases = {"exact": 0, "not exact": 0}
+    for chambers, non_chambers, ids in random.Random(name).sample(symbolic, 12):
+        matrix = varchenko_matrix(chambers)
+        factored = formula(complex_, chambers, non_chambers, ids)
+        weights = {mask_monomial(face.zero) for face in non_chambers}
+        counts = reduce_rows(matrix)[1]
+        for product in perturbations(factored, weights, counts):
+            monkeypatch.setattr(varmatrix, "product_formula", lambda *_: product)
+            record = varmatrix._factorization(complex_, chambers, non_chambers, ids, 0, 10)
+            assert record == expected_record(matrix, product), (ids, product.text())
+            cases["exact" if product.divided(counts) else "not exact"] += 1
+    assert min(cases.values()) >= 20, cases
+
+
+def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
+    # On a fresh complex every distinct symbolic apartment is worked once.
+    # Its passing record must expand neither det V nor the whole product:
+    # det_packed is not called, and the factor powers expanded are those
+    # of the product divided by the pulled-out factors.
+    path = tmp_path / "cyclic5.arr"
+    path.write_text(cyclic(5))
+    calls = {"det_packed": 0}
+    exponents = []
+    records = []
+
+    real_det_packed = varmatrix.det_packed
+    real_times = varmatrix._times_factor_power
+    real_factorization = varmatrix._factorization
+
+    def det_packed(*args):
+        calls["det_packed"] += 1
+        return real_det_packed(*args)
+
+    def times_factor_power(packed, key, exponent):
+        exponents.append(exponent)
+        return real_times(packed, key, exponent)
+
+    def factorization(complex_, chambers, non_chambers, ids, seed, trials):
+        exponents.clear()
+        record = real_factorization(complex_, chambers, non_chambers, ids, seed, trials)
+        records.append((complex_, chambers, non_chambers, ids, record, sum(exponents)))
+        return record
+
+    monkeypatch.setattr(varmatrix, "det_packed", det_packed)
+    monkeypatch.setattr(varmatrix, "_times_factor_power", times_factor_power)
+    monkeypatch.setattr(varmatrix, "_factorization", factorization)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", str(path), "--checks", "factorization",
+                         "--all-apartments", "--json"])
+    assert code == 0
+    assert calls["det_packed"] == 0
+
+    symbolic = 0
+    for complex_, chambers, non_chambers, ids, (status, details), expanded in records:
+        assert status == "pass"
+        if details["mode"] != "symbolic":
+            continue
+        symbolic += 1
+        _, beta = beta_details(complex_, chambers, non_chambers, ids)
+        pulled_out = sum(reduce_rows(varchenko_matrix(chambers))[1].values())
+        assert expanded == sum(beta["betas"].values()) - pulled_out, ids
+    assert symbolic > 50
