@@ -131,6 +131,9 @@ class FaceComplex:
         self._traces = {}  # (chamber id, hyperplane) -> trace face or None
         self._apartments = {}  # see varmatrix.resolve_apartment
         self._apartment_checks = {}  # see varmatrix.beta_details
+        # symbolic factorization checks that passed, keyed up to renaming of
+        # the hyperplanes; see varmatrix._class_key
+        self._passing_classes = set()
         self._chi = {}  # chamber id -> Euler characteristic of its closure
         self._chamber_types = {}  # chamber id -> classify() tag
 

@@ -26,12 +26,7 @@ from varchenko.varmatrix import (
 )
 from corpus import random_arrangement
 from oracles import full_comparison
-from test_apartment_memo import every_apartment
-
-
-def cyclic(m):
-    """The lines t x + y = t^2, t = 1..m, in general position."""
-    return "dim 2\n" + "".join(f"{t} 1 {t * t}\n" for t in range(1, m + 1))
+from test_apartment_memo import cyclic, every_apartment
 
 
 ARRANGEMENTS = {
@@ -129,17 +124,20 @@ def test_perturbed_products_give_the_full_comparison_records(name, monkeypatch):
 
 
 def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
-    # On a fresh complex every distinct symbolic apartment is worked once.
-    # Its passing record must expand neither det V nor the whole product:
-    # det_packed is not called, and the factor powers expanded are those
-    # of the product divided by the pulled-out factors.
+    # On a fresh complex every class of symbolic apartments (equal up to
+    # renaming hyperplanes) is worked once. The record that works it must
+    # expand neither det V nor the whole product: det_packed is not called,
+    # and the factor powers expanded are those of the product divided by
+    # the pulled-out factors. A record that finds its class passed expands
+    # nothing.
     path = tmp_path / "cyclic5.arr"
     path.write_text(cyclic(5))
-    calls = {"det_packed": 0}
+    calls = {"det_packed": 0, "expand_rows": 0}
     exponents = []
     records = []
 
     real_det_packed = varmatrix.det_packed
+    real_expand_rows = varmatrix.expand_rows
     real_times = varmatrix._times_factor_power
     real_factorization = varmatrix._factorization
 
@@ -147,17 +145,24 @@ def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
         calls["det_packed"] += 1
         return real_det_packed(*args)
 
+    def expand_rows(*args):
+        calls["expand_rows"] += 1
+        return real_expand_rows(*args)
+
     def times_factor_power(packed, key, exponent):
         exponents.append(exponent)
         return real_times(packed, key, exponent)
 
     def factorization(complex_, chambers, non_chambers, ids, seed, trials):
         exponents.clear()
+        calls["expand_rows"] = 0
         record = real_factorization(complex_, chambers, non_chambers, ids, seed, trials)
-        records.append((complex_, chambers, non_chambers, ids, record, sum(exponents)))
+        records.append((complex_, chambers, non_chambers, ids, record,
+                        sum(exponents), calls["expand_rows"]))
         return record
 
     monkeypatch.setattr(varmatrix, "det_packed", det_packed)
+    monkeypatch.setattr(varmatrix, "expand_rows", expand_rows)
     monkeypatch.setattr(varmatrix, "_times_factor_power", times_factor_power)
     monkeypatch.setattr(varmatrix, "_factorization", factorization)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -166,13 +171,19 @@ def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
     assert code == 0
     assert calls["det_packed"] == 0
 
-    symbolic = 0
-    for complex_, chambers, non_chambers, ids, (status, details), expanded in records:
+    symbolic = worked = 0
+    for complex_, chambers, non_chambers, ids, (status, details), expanded, works in records:
         assert status == "pass"
         if details["mode"] != "symbolic":
             continue
         symbolic += 1
+        assert works in (0, 1), ids
+        if not works:
+            assert expanded == 0, ids
+            continue
+        worked += 1
         _, beta = beta_details(complex_, chambers, non_chambers, ids)
         pulled_out = sum(reduce_rows(varchenko_matrix(chambers))[1].values())
         assert expanded == sum(beta["betas"].values()) - pulled_out, ids
+    assert 0 < worked < symbolic
     assert symbolic > 50

@@ -23,13 +23,13 @@ from varchenko.varmatrix import (
     det_at,
     det_modular,
     det_symbolic,
+    frontier_order,
     mad_recurrence_check,
     modular_assignment,
     multiplicity,
     product_formula,
     reduce_rows,
     shared_packing,
-    support_order,
     v,
     v_path_identity_check,
     varchenko_matrix,
@@ -282,14 +282,19 @@ def test_det_symbolic_under_row_and_column_permutations(data):
     )
 
 
-def test_support_order_sorts_chambers_by_side(crossing):
-    # h1^+ occurs in the rows of the chambers in H1^-, which come first on
-    # the tie; within each, the chambers in H2^- come first.
-    chambers = crossing.chambers()
-    order = support_order(varchenko_matrix(chambers).entries)
-    assert [chambers[r].signs for r in order] == [
-        (MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS)
+def test_frontier_order_keeps_the_taken_columns_few():
+    # Rows 1, 2 and 3 each reach two columns; row 1 goes first on the index.
+    # Row 3 adds no column to row 1's, so it goes before row 2, which ties
+    # with row 0 on the union of all four columns and has fewer nonzeros.
+    x = 1
+    rows = [
+        [0, x, x, x],
+        [None, 0, None, x],
+        [x, None, 0, None],
+        [None, x, None, 0],
     ]
+    assert frontier_order(rows) == [1, 3, 2, 0]
+    assert frontier_order([[0] * 3] * 3) == [0, 1, 2]
 
 
 def apartment_chambers(complex_):
