@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from .apartments import enumerate_apartments, find_apartment
@@ -40,7 +41,7 @@ from .varmatrix import (
 from .witt import witt_sweep
 
 # Each check's runner: given the complex and the keywords `targets` (a
-# callable yielding the apartments to check), `seed` and `trials`, the list
+# callable returning the apartments to check), `seed` and `trials`, the list
 # of its results. A runner looks its check up by name when called, so a
 # wrapper bound to that name later (perfbench's span tracer) is the one run.
 CHECKS = {
@@ -333,15 +334,13 @@ def cmd_verify(args) -> int:
         {"arrangement": arrangement_digest(arrangement)}
     )
 
+    @cache  # built on first use, then shared by the checks that sweep
     def apartment_targets():
-        if args.all_apartments:
-            m = arrangement.size
-            for mask in range(1 << m):
-                subset = [h for h in range(m) if mask >> h & 1]
-                for apt in enumerate_apartments(complex_, subset):
-                    yield apt
-        else:
-            yield apartment  # None means the full arrangement
+        if not args.all_apartments:
+            return [apartment]  # None means the full arrangement
+        m = arrangement.size
+        subsets = ([h for h in range(m) if mask >> h & 1] for mask in range(1 << m))
+        return [apt for subset in subsets for apt in enumerate_apartments(complex_, subset)]
 
     for name in selected:
         for result in CHECKS[name](

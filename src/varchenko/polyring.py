@@ -20,6 +20,8 @@ implicit; higher powers append "^e".
 from __future__ import annotations
 
 import re
+from functools import cache
+from itertools import starmap
 from typing import NamedTuple
 
 from .geometry import MINUS, PLUS
@@ -111,10 +113,14 @@ def _graded_lex(term):
     return sum(e for _, e in mono), lex_key(mono)
 
 
+@cache  # each power of a variable is written once
+def _power(i: int, e: int) -> str:
+    return var_of_index(i).label() + (f"^{e}" if e > 1 else "")
+
+
 def format_monomial(mono, coef: int = 1) -> str:
     """Canonical text of a term, coefficient 1 by default."""
-    parts = [var_of_index(i).label() + (f"^{e}" if e > 1 else "") for i, e in mono]
-    return f"{coef} * {' '.join(parts)}" if parts else str(coef)
+    return f"{coef} * {' '.join(starmap(_power, mono))}" if mono else str(coef)
 
 
 def format_terms(terms) -> str:

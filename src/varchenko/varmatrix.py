@@ -158,11 +158,11 @@ class Packing(NamedTuple):
 
     def terms(self, packed):
         """[(coefficient, monomial)] of a {key: coefficient} dict, reading
-        only the nonzero fields of each key."""
-        w, field = self.width, (1 << self.width) - 1
+        each key field by field up to its highest nonzero one."""
+        w, f = self.width, (1 << self.width) - 1
         return [
-            (coef, tuple({i // w: key >> i - i % w & field for i in set_bits(key)}.items()))
-            for key, coef in packed.items()
+            (coef, tuple((s // w, e) for s in range(0, k.bit_length(), w) if (e := k >> s & f)))
+            for k, coef in packed.items()
         ]
 
     def polynomial(self, packed) -> Polynomial:
@@ -232,7 +232,7 @@ def reduce_rows(matrix: VMatrix):
     hyperplanes whose h^+ occurs are tried: no row operation adds one."""
     rows = [list(row) for row in matrix.entries]
     counts: dict = {}
-    plus = ((1 << matrix.nvars) - 1) // 3  # the variables h^+
+    plus = ((1 << matrix.nvars - matrix.nvars % 2) - 1) // 3  # h^+ of each whole pair
     for k in set_bits(reduce(or_, _row_supports(rows), 0) & plus):
         x = 1 << k
         for i, row in enumerate(rows):
@@ -377,59 +377,73 @@ def assignment_digest(assignment, prime: int) -> str:
     return hashlib.sha256(f"{prime};{payload}".encode()).hexdigest()[:16]
 
 
-def det_at(matrix: VMatrix, assignment, prime: int, reduced=None) -> int:
-    """Determinant of the matrix at one assignment, mod prime: that of the
-    `reduce_rows` residual (`reduced`, computed when not given), None read
-    as 0, times each (1 - h^+ h^-)^k pulled out, which equals it in Z[h]."""
+def _evaluator(matrix: VMatrix, prime: int, reduced=None):
+    """det V mod prime as a function of an assignment, planned once. A call
+    fills a table (0 for None, 1 for mask 0, each of `masks` from the mask
+    less its lowest bit) and reads the residual's rows through it."""
     rows, counts = reduced or reduce_rows(matrix)
-    values = assignment_values(assignment, matrix.nvars, prime)
-    det = _det_mod([[0 if e is None else prod(values[i] for i in set_bits(e)) % prime
-                     for e in row] for row in rows], prime)
-    for h, k in counts.items():
-        det = det * pow(1 - values[2 * h] * values[2 * h + 1], k, prime) % prime
+    masks = sorted({e >> k << k for row in rows for e in row if e
+                    for k in range(e.bit_length())})
+    steps = [(mask, mask & mask - 1, (mask & -mask).bit_length() - 1) for mask in masks]
+
+    def det(assignment) -> int:
+        values = assignment_values(assignment, matrix.nvars, prime)
+        table = {None: 0, 0: 1}
+        for mask, parent, var in steps:
+            table[mask] = table[parent] * values[var] % prime
+        value = _det_mod([list(map(table.__getitem__, row)) for row in rows], prime)
+        for h, k in counts.items():
+            value = value * pow(1 - values[2 * h] * values[2 * h + 1], k, prime) % prime
+        return value
+
     return det
 
 
-def det_modular(matrix: VMatrix, seed=0, trials: int = 10):
+def det_at(matrix: VMatrix, assignment, prime: int, reduced=None) -> int:
+    """Determinant of the matrix at one assignment, mod prime, through the
+    `_evaluator` plan of the `reduce_rows` residual (`reduced`, computed when
+    not given): it times each (1 - h^+ h^-)^k pulled out equals det V."""
+    return _evaluator(matrix, prime, reduced)(assignment)
+
+
+def det_modular(matrix: VMatrix, seed=0, trials: int = 10, product=None):
     """Determinant values at `trials` random evaluations mod DEFAULT_PRIME,
-    in trial order; each trial is deterministic from (seed, trial index)."""
+    in trial order; each trial is deterministic from (seed, trial index).
+    One `_evaluator` serves every trial. With a `FactoredDet` `product`,
+    each trial is a (ModularTrial, product value) pair at one assignment."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    reduced = reduce_rows(matrix)
+    det = _evaluator(matrix, DEFAULT_PRIME)
 
-    def run(trial: int) -> ModularTrial:
+    def run(trial: int):
         assignment = modular_assignment(matrix.nvars, seed, trial, DEFAULT_PRIME)
-        return ModularTrial(
-            trial,
-            assignment_digest(assignment, DEFAULT_PRIME),
-            det_at(matrix, assignment, DEFAULT_PRIME, reduced),
-        )
+        digest = assignment_digest(assignment, DEFAULT_PRIME)
+        result = ModularTrial(trial, digest, det(assignment))
+        if product is None:
+            return result
+        return result, product.eval_mod(assignment, DEFAULT_PRIME)
 
     return [run(t) for t in range(trials)]
 
 
 def _det_mod(rows, prime: int) -> int:
-    n = len(rows)
+    """Determinant mod prime of a square matrix of ints in [0, prime), by
+    elimination on the columns right of each pivot only (the rows shrink).
+    The pivot row's tail is reduced once; any other row gets a - f * b with
+    f, b < prime unreduced, so each |entry| < prime + n * prime^2 and may be
+    a nonzero multiple of prime: a pivot is an entry nonzero mod prime."""
     det = 1
-    for col in range(n):
-        pivot_row = next(
-            (i for i in range(col, n) if rows[i][col] % prime != 0), None
-        )
-        if pivot_row is None:
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0] % prime), None)
+        if k is None:
             return 0
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col] % prime
-        det = det * pivot % prime
-        inv = pow(pivot, prime - 2, prime)
-        for i in range(col + 1, n):
-            factor = rows[i][col] * inv % prime
-            if factor:
-                rows[i] = [
-                    (a - factor * b) % prime
-                    for a, b in zip(rows[i], rows[col])
-                ]
+        head = rows.pop(k)  # moved up past k rows, hence (-1) ** k
+        pivot = head[0] % prime
+        det = det * (-1) ** k * pivot % prime
+        inv = pow(pivot, -1, prime)
+        tail = [b % prime for b in head[1:]]
+        rows = [[a - f * b for a, b in zip(row[1:], tail)] if (f := row[0] * inv % prime)
+                else row[1:] for row in rows]
     return det % prime
 
 
@@ -638,16 +652,7 @@ def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, tri
             return format_terms(packing.terms(det))
 
         return mode, (equal, determinant)
-    return mode, [
-        (
-            t,
-            factored.eval_mod(
-                modular_assignment(matrix.nvars, seed, t.trial, DEFAULT_PRIME),
-                DEFAULT_PRIME,
-            ),
-        )
-        for t in det_modular(matrix, seed=seed, trials=trials)
-    ]
+    return mode, det_modular(matrix, seed, trials, product=factored)
 
 
 def verify_factorization(

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from varchenko import varmatrix
+from varchenko import cli, varmatrix
 from varchenko.apartments import enumerate_apartments
 from varchenko.cli import main
 from varchenko.faces import enumerate_faces
@@ -120,6 +120,32 @@ def test_seed_and_trials_do_not_reuse_a_modular_record():
     assert digests[0] != digests[1]
     assert len(digests[2]) == 4 and digests[2][:3] == digests[0]
     assert memoized[3].details is memoized[0].details
+
+
+def test_a_sweep_enumerates_apartments_once_and_draws_each_trial_once(
+    tmp_path, monkeypatch
+):
+    calls = {"enumerate_apartments": 0, "modular_assignment": 0}
+    for module, name in ((cli, "enumerate_apartments"), (varmatrix, "modular_assignment")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "cyclic5.arr"
+    path.write_text(CYCLIC5)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", str(path), "--checks", "beta,factorization",
+              "--all-apartments", "--json", "--trials", "4"])
+    checks = json.loads(out.getvalue())["checks"]
+    # the beta and factorization checks share one list of the apartments
+    # of all 2^5 subsets
+    assert calls["enumerate_apartments"] == 2**5
+    modular = [e for e in checks if e["details"].get("mode") == "modular"]
+    assert modular and all(len(e["details"]["trials"]) == 4 for e in modular)
+    # one draw per trial serves both det V and the product
+    assert calls["modular_assignment"] == 4 * len(modular)
 
 
 def relabelled_class(chambers, factored):

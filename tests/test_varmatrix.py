@@ -261,6 +261,14 @@ def test_reduce_rows_leaves_a_row_with_a_remainder(entries):
     assert det_symbolic(matrix) == det_by_permutations(matrix)
 
 
+def test_det_symbolic_with_an_odd_variable_count():
+    # bits 1 and 2 are h1^- and h2^+, not one hyperplane's pair, and h2^-
+    # is outside the ring, so no factor (1 - h^+ h^-) comes out here
+    matrix = VMatrix(range(2), [[0, 0b111], [0b010, 0b011]], 3)
+    assert reduce_rows(matrix) == (matrix.entries, {})
+    assert det_symbolic(matrix) == det_by_permutations(matrix)
+
+
 def test_reduce_rows_leaves_a_zero_beside_a_nonzero():
     # reduced rows hold None for zero; in column 1 row 1 is zero and the
     # pivot row 0 is not, so e - x p = -x p remains
@@ -475,12 +483,26 @@ def test_det_at_matches_dense_oracle_where_rows_stay_unreduced():
         matrix = VMatrix(range(n), entries, 2 * m)
         rows, counts = reduce_rows(matrix)
         mixed += bool(counts) and leaves_a_row_unreduced(rows, matrix.nvars)
-        for prime in (101, DEFAULT_PRIME):
+        # at 2 and 3 the unreduced row updates often leave an entry that is
+        # a nonzero multiple of the prime, which must not become a pivot
+        for prime in (2, 3, 101, DEFAULT_PRIME):
             assignment = modular_assignment(matrix.nvars, "unreduced", case, prime)
             assert det_at(matrix, assignment, prime) == det_at_dense(
                 matrix, assignment, prime
             )
     assert mixed >= 20
+
+
+def test_det_at_matches_dense_oracle_on_the_37_chamber_cyclic_matrix():
+    # the largest matrix evaluated here: its entries grow most between
+    # reductions in the elimination
+    matrix = varchenko_matrix(cyclic_complex(8).chambers())
+    assert matrix.size == 37
+    for trial in range(3):
+        assignment = modular_assignment(matrix.nvars, "cyclic8", trial, DEFAULT_PRIME)
+        assert det_at(matrix, assignment, DEFAULT_PRIME) == det_at_dense(
+            matrix, assignment, DEFAULT_PRIME
+        )
 
 
 def test_det_at_is_zero_where_a_pulled_out_factor_vanishes(r1):
