@@ -63,7 +63,9 @@ def enumerate_apartments(complex_: FaceComplex, subset):
 
 
 def find_apartment(complex_: FaceComplex, subset, base_signs):
-    """The apartment with the given base signs, or None if infeasible."""
+    """The apartment with these base signs, +1 or -1 per subset member, or None."""
+    if len(base_signs) != len(subset) or not all(s in (PLUS, MINUS) for s in base_signs):
+        return None
     half = half_mask(zip(subset, base_signs))
     return next(
         (a for a in enumerate_apartments(complex_, subset) if a.half == half),

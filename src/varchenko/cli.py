@@ -243,7 +243,7 @@ def cmd_varchenko(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
     matrix = varchenko_matrix(chambers)
-    beta_status, beta = beta_details(complex_, chambers, non_chambers, ids)
+    beta_status, beta = beta_details(complex_, *ids)
     factored = product_formula(complex_, non_chambers, beta["betas"])
     mode, outcome = compare_with_product(
         matrix, factored, args.mode, seed, args.trials

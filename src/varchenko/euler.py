@@ -9,7 +9,7 @@ one, is tagged `unknown` and downstream checks skip it.
 
 from __future__ import annotations
 
-from .faces import Face, FaceComplex, closure_faces, face_leq, panels
+from .faces import Face, FaceComplex, closure_faces, face_leq, memoized, panels
 from .report import FAIL, PASS, CheckResult
 
 BOUNDED = "bounded"
@@ -19,16 +19,12 @@ TYPE3 = "type3"
 UNKNOWN = "unknown"
 
 
+@memoized
 def euler_closure(complex_: FaceComplex, chamber: Face) -> int:
     """Alternating cell count of the closed chamber: sum (-1)^dim over F <= D."""
     if not chamber.is_chamber:
         raise ValueError(f"euler_closure requires a chamber, got {chamber!r}")
-    cache = complex_._chi
-    if chamber.id not in cache:
-        cache[chamber.id] = sum(
-            -1 if f.dim % 2 else 1 for f in closure_faces(complex_, chamber)
-        )
-    return cache[chamber.id]
+    return sum(-1 if f.dim % 2 else 1 for f in closure_faces(complex_, chamber))
 
 
 def _frontier_components(complex_: FaceComplex, chamber: Face):
@@ -55,17 +51,11 @@ def _frontier_components(complex_: FaceComplex, chamber: Face):
     return list(groups.values())
 
 
+@memoized
 def classify(complex_: FaceComplex, chamber: Face) -> str:
     """Chamber type tag: bounded, type1, type2, type3 or unknown."""
     if not chamber.is_chamber:
         raise ValueError(f"classify requires a chamber, got {chamber!r}")
-    cache = complex_._chamber_types
-    if chamber.id not in cache:
-        cache[chamber.id] = _classify(complex_, chamber)
-    return cache[chamber.id]
-
-
-def _classify(complex_: FaceComplex, chamber: Face) -> str:
     if complex_.face_is_bounded(chamber):
         return BOUNDED
     n = complex_.dimension

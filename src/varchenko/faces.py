@@ -33,7 +33,9 @@ independent oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import wraps
 from operator import mul
 
 from .geometry import (
@@ -110,7 +112,7 @@ class FaceComplex:
 
     Faces carry ids assigned in lexicographic sign-vector order (+ < 0 < -),
     so every downstream matrix and report is reproducible. Queries are
-    read-only; small results are memoized internally.
+    read-only; derived data is kept in `_memo`, a table per `memoized` function.
     """
 
     def __init__(self, arrangement, faces):
@@ -120,22 +122,10 @@ class FaceComplex:
         self.chamber_ids = tuple(f.id for f in self.faces if f.is_chamber)
         self.min_dim = min((f.dim for f in self.faces), default=0)
         self._recession_masks = None  # see face_is_bounded
-        self._closures = {}
-        self._products = {}  # face id F -> ids of FG for every face G
-        # face id F -> {id of FC: positions of the chambers C giving it,
-        # in chamber order}, read from F's row of _products
-        self._chamber_products = {}
-        # (A id, D id) -> (witt_lhs, witt_rhs) of the nested pair, each as
-        # {chamber position: coefficient} over the nonzero coefficients
-        self._witt = {}
-        self._traces = {}  # (chamber id, hyperplane) -> trace face or None
-        self._apartments = {}  # see varmatrix.resolve_apartment
-        self._apartment_checks = {}  # see varmatrix.beta_details
-        # symbolic factorization checks that passed, keyed up to renaming of
-        # the hyperplanes; see varmatrix._class_key
+        self._memo = defaultdict(dict)  # memoized function -> {args: result}
+        # symbolic factorization passes up to renaming hyperplanes (varmatrix._class_key);
+        # passes only, not a memo table: a class not in it is compared in full
         self._passing_classes = set()
-        self._chi = {}  # chamber id -> Euler characteristic of its closure
-        self._chamber_types = {}  # chamber id -> classify() tag
 
     @property
     def dimension(self) -> int:
@@ -148,9 +138,9 @@ class FaceComplex:
         return self.faces[face_id]
 
     def find(self, signs) -> Face | None:
-        """The face with this sign vector, or None."""
+        """The face with this sign vector, +1, 0 or -1 per hyperplane, or None."""
         signs = tuple(signs)
-        if len(signs) != self.arrangement.size:
+        if len(signs) != self.arrangement.size or not all(s in (PLUS, ZERO, MINUS) for s in signs):
             return None
         return self.by_half.get(half_mask(enumerate(signs)))
 
@@ -171,6 +161,22 @@ class FaceComplex:
             f"FaceComplex(n={self.dimension}, m={self.arrangement.size}, "
             f"faces={len(self.faces)}, chambers={len(self.chamber_ids)})"
         )
+
+
+def memoized(compute):
+    """`compute(complex_, *args)`, computed once per complex and args: the
+    result is kept in the complex's table for this function alone, keyed by
+    the args (a face hashes by identity). A call that raises stores nothing."""
+
+    @wraps(compute)
+    def cached(complex_, *args):
+        table = complex_._memo[cached]
+        value = table.get(args, table)  # the table itself marks a miss
+        if value is table:
+            value = table[args] = compute(complex_, *args)
+        return value
+
+    return cached
 
 
 def face_leq(f: Face, g: Face) -> bool:
@@ -358,15 +364,10 @@ def brute_force_sign_vectors(arrangement):
     return found
 
 
+@memoized
 def closure_faces(complex_, chamber_or_face):
-    """All faces F with F <= the given face (its closed cell)."""
-    cached = complex_._closures.get(chamber_or_face.id)
-    if cached is None:
-        cached = tuple(
-            f for f in complex_.faces if face_leq(f, chamber_or_face)
-        )
-        complex_._closures[chamber_or_face.id] = cached
-    return list(cached)
+    """All faces F with F <= the given face (its closed cell), in id order."""
+    return tuple(f for f in complex_.faces if face_leq(f, chamber_or_face))
 
 
 def panels(complex_, chamber):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .faces import Face, FaceComplex, closure_faces, face_leq
+from .faces import Face, FaceComplex, closure_faces, face_leq, memoized
 
 
 class ComplexInvariantError(RuntimeError):
@@ -15,38 +15,35 @@ class ComplexInvariantError(RuntimeError):
     """
 
 
+@memoized
 def _product_row(complex_: FaceComplex, f: Face):
-    """The ids of FG for every face G, in id order, computed on first use.
+    """The ids of FG for every face G, in id order.
 
     This is the one place a Tits product is computed: the half-spaces of f,
     plus those of g on the hyperplanes containing f. A missing face is
-    reported as a ComplexInvariantError and leaves no row behind.
+    reported as a ComplexInvariantError.
     """
-    row = complex_._products.get(f.id)
-    if row is None:
-        lookup = complex_.by_half.get
-        half, zero = f.half, f.zero
-        products = [lookup(half | (g.half & zero)) for g in complex_.faces]
-        if None in products:
-            g = complex_.faces[products.index(None)]
-            raise ComplexInvariantError(
-                f"Tits product of faces {f.id}, {g.id} (half-space mask "
-                f"{half | (g.half & zero):#b}) is not a face of the complex"
-            )
-        row = complex_._products[f.id] = tuple([p.id for p in products])
-    return row
+    lookup = complex_.by_half.get
+    half, zero = f.half, f.zero
+    products = [lookup(half | (g.half & zero)) for g in complex_.faces]
+    if None in products:
+        g = complex_.faces[products.index(None)]
+        raise ComplexInvariantError(
+            f"Tits product of faces {f.id}, {g.id} (half-space mask "
+            f"{half | (g.half & zero):#b}) is not a face of the complex"
+        )
+    return tuple([p.id for p in products])
 
 
+@memoized
 def chamber_products(complex_: FaceComplex, f: Face):
     """f's products with the chambers, read from the chamber columns of its
     row of the product table: {id of FC: the positions of those chambers C
-    in chamber order}, computed once per face."""
-    found = complex_._chamber_products.get(f.id)
-    if found is None:
-        row = _product_row(complex_, f)
-        found = complex_._chamber_products[f.id] = {}
-        for i, c in enumerate(complex_.chamber_ids):
-            found.setdefault(row[c], []).append(i)
+    in chamber order}."""
+    row = _product_row(complex_, f)
+    found = {}
+    for i, c in enumerate(complex_.chamber_ids):
+        found.setdefault(row[c], []).append(i)
     return found
 
 

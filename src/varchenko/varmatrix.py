@@ -21,8 +21,7 @@ from math import comb, prod
 from operator import or_
 from typing import NamedTuple
 
-from .apartments import chambers_in, faces_in
-from .faces import Face, FaceComplex, centralization, closure_faces
+from .faces import Face, FaceComplex, centralization, closure_faces, memoized
 from .polyring import (
     Polynomial,
     assignment_values,
@@ -377,11 +376,11 @@ def assignment_digest(assignment, prime: int) -> str:
     return hashlib.sha256(f"{prime};{payload}".encode()).hexdigest()[:16]
 
 
-def _evaluator(matrix: VMatrix, prime: int, reduced=None):
+def _evaluator(matrix: VMatrix, prime: int):
     """det V mod prime as a function of an assignment, planned once. A call
     fills a table (0 for None, 1 for mask 0, each of `masks` from the mask
-    less its lowest bit) and reads the residual's rows through it."""
-    rows, counts = reduced or reduce_rows(matrix)
+    less its lowest bit) and reads the `reduce_rows` residual through it."""
+    rows, counts = reduce_rows(matrix)
     masks = sorted({e >> k << k for row in rows for e in row if e
                     for k in range(e.bit_length())})
     steps = [(mask, mask & mask - 1, (mask & -mask).bit_length() - 1) for mask in masks]
@@ -399,11 +398,10 @@ def _evaluator(matrix: VMatrix, prime: int, reduced=None):
     return det
 
 
-def det_at(matrix: VMatrix, assignment, prime: int, reduced=None) -> int:
+def det_at(matrix: VMatrix, assignment, prime: int) -> int:
     """Determinant of the matrix at one assignment, mod prime, through the
-    `_evaluator` plan of the `reduce_rows` residual (`reduced`, computed when
-    not given): it times each (1 - h^+ h^-)^k pulled out equals det V."""
-    return _evaluator(matrix, prime, reduced)(assignment)
+    `_evaluator` plan of the `reduce_rows` residual."""
+    return _evaluator(matrix, prime)(assignment)
 
 
 def det_modular(matrix: VMatrix, seed=0, trials: int = 10, product=None):
@@ -450,20 +448,15 @@ def _det_mod(rows, prime: int) -> int:
 # -- multiplicities and the product formula ---------------------------------
 
 
+@memoized
 def _chamber_trace(complex_: FaceComplex, chamber: Face, h: int):
     """The face F with closure(chamber) meet H_h = closure(F), or None.
 
     F is the largest closure face on H_h, so its mask is the union of theirs;
     None when no closure face lies on H_h or that union is not a face.
     """
-    cache = complex_._traces
-    key = (chamber.id, h)
-    if key not in cache:
-        on_h = [
-            g.half for g in closure_faces(complex_, chamber) if g.zero >> 2 * h & 1
-        ]
-        cache[key] = complex_.by_half.get(reduce(or_, on_h)) if on_h else None
-    return cache[key]
+    on_h = [g.half for g in closure_faces(complex_, chamber) if g.zero >> 2 * h & 1]
+    return complex_.by_half.get(reduce(or_, on_h)) if on_h else None
 
 
 def multiplicity(complex_: FaceComplex, face: Face, h: int, chambers) -> int:
@@ -488,8 +481,8 @@ def multiplicity(complex_: FaceComplex, face: Face, h: int, chambers) -> int:
 def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
     """Multiplicities per face, plus any dependence on the chosen hyperplane.
 
-    Returns (betas, mismatches) where betas maps face id to the common
-    value and mismatches lists faces whose per-hyperplane values differ.
+    Returns (betas, mismatches) where betas maps face id to the least value
+    and mismatches lists faces whose per-hyperplane values differ.
     """
     betas = {}
     mismatches = []
@@ -498,14 +491,9 @@ def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
             h: multiplicity(complex_, face, h, chambers)
             for h in sorted(centralization(face))
         }
-        distinct = set(values.values())
-        if len(distinct) != 1:
-            mismatches.append(
-                {"face": face.id, "per_hyperplane": values}
-            )
-            betas[face.id] = min(distinct)
-        else:
-            betas[face.id] = distinct.pop()
+        if len(set(values.values())) != 1:
+            mismatches.append({"face": face.id, "per_hyperplane": values})
+        betas[face.id] = min(values.values())
     return betas, mismatches
 
 
@@ -589,30 +577,30 @@ def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> Factored
 def resolve_apartment(complex_: FaceComplex, apartment):
     """(description, chambers, non-chamber faces, (their ids)) of an
     apartment, None standing for the full arrangement; all but the first are
-    cached by `half` mask, 0 for the full arrangement, as for the empty subset."""
+    memoized by `half` mask, 0 for the full arrangement as for the empty subset."""
     where = "full arrangement" if apartment is None else apartment.describe()
-    half = 0 if apartment is None else apartment.half
-    if half not in complex_._apartments:
-        faces = faces_in(complex_, apartment) if half else complex_.faces
-        chambers = chambers_in(complex_, apartment) if half else complex_.chambers()
-        non_chambers = [f for f in faces if not f.is_chamber]
-        ids = (tuple(c.id for c in chambers), tuple(f.id for f in non_chambers))
-        complex_._apartments[half] = chambers, non_chambers, ids
-    return (where, *complex_._apartments[half])
+    return (where, *_apartment_faces(complex_, 0 if apartment is None else apartment.half))
 
 
-def beta_details(complex_: FaceComplex, chambers, non_chambers, ids):
-    """The (status, details) of `beta_independence_check` on a resolved
-    apartment ("betas" holds the least of a face's values), memoized on the
-    complex by the check name and everything the details depend on."""
-    cache, key = complex_._apartment_checks, ("beta_independence", *ids)
-    if key not in cache:
-        betas, mismatches = beta_independence(complex_, non_chambers, chambers)
-        details = {"faces_checked": len(non_chambers), "betas": betas}
-        if mismatches:
-            details["mismatches"] = mismatches
-        cache[key] = FAIL if mismatches else PASS, details
-    return cache[key]
+@memoized
+def _apartment_faces(complex_: FaceComplex, half: int):
+    """(chambers, non-chamber faces, (their ids)) inside the mask `half`."""
+    chambers = [c for c in complex_.chambers() if not half & ~c.half]
+    non_chambers = [f for f in complex_.faces if not half & ~f.half and not f.is_chamber]
+    ids = (tuple(c.id for c in chambers), tuple(f.id for f in non_chambers))
+    return chambers, non_chambers, ids
+
+
+@memoized
+def beta_details(complex_: FaceComplex, chamber_ids, face_ids):
+    """The (status, details) of `beta_independence_check` on the apartment of
+    these chamber and non-chamber face ids ("betas": each face's least value)."""
+    chambers, non_chambers = ([complex_.faces[i] for i in ids] for ids in (chamber_ids, face_ids))
+    betas, mismatches = beta_independence(complex_, non_chambers, chambers)
+    details = {"faces_checked": len(non_chambers), "betas": betas}
+    if mismatches:
+        details["mismatches"] = mismatches
+    return FAIL if mismatches else PASS, details
 
 
 def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, trials):
@@ -662,23 +650,21 @@ def verify_factorization(
 
     Asserts that the multiplicity is independent of the chosen hyperplane,
     then compares the Varchenko determinant against the product formula
-    through `compare_with_product` in "auto" mode; memoized as in
-    `beta_details`, with the seed and trial count in the key. A symbolic
-    pass is also kept by its `_class_key`, so a later apartment of the same
-    class passes without building a matrix; one that fails is compared in
-    full, so its record prints its own determinant and product."""
-    where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
-    cache, key = complex_._apartment_checks, ("factorization", *ids, seed, trials)
-    if key not in cache:
-        cache[key] = _factorization(complex_, chambers, non_chambers, ids, seed, trials)
-    status, details = cache[key]
+    through `compare_with_product` in "auto" mode. A symbolic pass is also
+    kept by its `_class_key`, so a later apartment of the same class passes
+    without building a matrix; one that fails is compared in full, so its
+    record prints its own determinant and product."""
+    where, _, _, ids = resolve_apartment(complex_, apartment)
+    status, details = _factorization(complex_, *ids, seed, trials)
     return CheckResult("factorization", status, {"apartment": where}, details)
 
 
-def _factorization(complex_, chambers, non_chambers, ids, seed, trials):
+@memoized
+def _factorization(complex_, chamber_ids, face_ids, seed, trials):
     """The (status, details) of `verify_factorization`."""
+    chambers, non_chambers = ([complex_.faces[i] for i in ids] for ids in (chamber_ids, face_ids))
     details: dict = {"chambers": len(chambers)}
-    status, beta = beta_details(complex_, chambers, non_chambers, ids)
+    status, beta = beta_details(complex_, chamber_ids, face_ids)
     if status == FAIL:
         details["beta_mismatches"] = beta["mismatches"]
         return FAIL, details
@@ -748,8 +734,8 @@ def _class_key(chambers, factored):
 
 def beta_independence_check(complex_: FaceComplex, apartment=None) -> CheckResult:
     """Standalone report entry for multiplicity well-definedness."""
-    where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
-    status, details = beta_details(complex_, chambers, non_chambers, ids)
+    where, _, _, ids = resolve_apartment(complex_, apartment)
+    status, details = beta_details(complex_, *ids)
     return CheckResult("beta_independence", status, {"apartment": where}, details)
 
 
@@ -793,8 +779,7 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     distances: witt_lhs times v(D, C), and witt_rhs times
     v(D, D~_A) v(D~_A, C), the OR of two masks by the rule in `v`'s
     docstring. Both are compared as {C: (coefficient, mask)} over the
-    nonzero coefficients of the Witt vectors the complex keeps for the
-    pair (`witt.witt_vectors`), which `witt_sweep` reads too.
+    nonzero coefficients of the pair's `witt.witt_vectors`, as `witt_sweep` reads them.
     """
     chambers = complex_.chambers()
     violations = []

@@ -6,16 +6,15 @@ coefficientwise equality the whole content of the identities. One function,
 `signed_chamber_vector`, counts the signed vectors. It reads each face's
 products with the chambers from the chamber columns of the complex's
 product table, grouped by product (`tits.chamber_products`), so the
-chambers C with FC = D are one lookup. The two vectors of a nested pair are
-computed once per complex and kept on it by `witt_vectors`, as their
-nonzero coefficients: `witt_sweep` and the m(A, D) recurrence in
-`varmatrix`, which scales both sides by distance masks, read the same ones.
+chambers C with FC = D are one lookup. `witt_vectors` memoizes the two
+vectors of a nested pair, as their nonzero coefficients, for `witt_sweep`
+and the m(A, D) recurrence in `varmatrix`, which scales them by distances.
 """
 
 from __future__ import annotations
 
 from .euler import BOUNDED, TYPE2, TYPE3, classify, euler_closure
-from .faces import Face, FaceComplex, closure_faces
+from .faces import Face, FaceComplex, closure_faces, memoized
 from .report import FAIL, PASS, SKIPPED, CheckResult
 from .tits import chamber_products, nested_interval, opposite_through, rank
 
@@ -32,24 +31,20 @@ def signed_chamber_vector(complex_: FaceComplex, faces, d: Face):
     return {i: k for i, k in enumerate(coords) if k}
 
 
+@memoized
 def witt_vectors(complex_: FaceComplex, a: Face, d: Face):
     """(witt_lhs, witt_rhs) of the nested pair (A, D), each as
     {position of C in chamber order: coefficient} over its nonzero
-    coefficients, computed once per complex."""
-    pair = complex_._witt.get((a.id, d.id))
-    if pair is None:
-        if not d.is_chamber:
-            raise ValueError(f"Witt vectors require a chamber, got {d!r}")
-        lhs = signed_chamber_vector(complex_, nested_interval(complex_, a, d), d)
-        opposite = opposite_through(complex_, a, d)
-        sign = -1 if rank(complex_, d) % 2 else 1
-        rhs = dict.fromkeys(
-            chamber_products(complex_, a).get(opposite.id, ()), sign
-        )
-        if rhs == lhs:
-            rhs = lhs  # one dict for both sides when they agree
-        pair = complex_._witt[a.id, d.id] = (lhs, rhs)
-    return pair
+    coefficients."""
+    if not d.is_chamber:
+        raise ValueError(f"Witt vectors require a chamber, got {d!r}")
+    lhs = signed_chamber_vector(complex_, nested_interval(complex_, a, d), d)
+    opposite = opposite_through(complex_, a, d)
+    sign = -1 if rank(complex_, d) % 2 else 1
+    rhs = dict.fromkeys(chamber_products(complex_, a).get(opposite.id, ()), sign)
+    if rhs == lhs:
+        rhs = lhs  # one dict for both sides when they agree
+    return lhs, rhs
 
 
 def _dense(complex_: FaceComplex, coords):

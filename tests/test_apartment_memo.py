@@ -175,7 +175,7 @@ def symbolic_apartments(text):
     for apartment in every_apartment(complex_):
         _, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
         if len(chambers) <= DEFAULT_SYMBOLIC_THRESHOLD:
-            _, beta = beta_details(complex_, chambers, non_chambers, ids)
+            _, beta = beta_details(complex_, *ids)
             factored = product_formula(complex_, non_chambers, beta["betas"])
             yield apartment, ids, relabelled_class(chambers, factored)
 

@@ -25,6 +25,11 @@ def test_single_hyperplane_two_apartments(r1, crossing):
 
 def test_faces_in_half_plane(crossing):
     apartment = find_apartment(crossing, (0,), (PLUS,))
+    # base signs are one +1 or -1 per subset member, or there is no apartment
+    assert find_apartment(crossing, (0,), (-7,)) is None
+    assert find_apartment(crossing, (0,), (ZERO,)) is None
+    assert find_apartment(crossing, (0,), (PLUS, MINUS)) is None
+    assert find_apartment(crossing, (0, 1), (PLUS,)) is None
     inside = {f.signs for f in faces_in(crossing, apartment)}
     assert inside == {(PLUS, PLUS), (PLUS, ZERO), (PLUS, MINUS)}
     assert len(chambers_in(crossing, apartment)) == 2

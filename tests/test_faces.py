@@ -69,6 +69,9 @@ def test_find_requires_one_sign_per_hyperplane(crossing):
     assert crossing.find((PLUS, ZERO)).signs == (PLUS, ZERO)
     assert crossing.find((PLUS,)) is None
     assert crossing.find((PLUS, ZERO, ZERO)) is None
+    # signs other than +1, 0, -1 name no face, even when their bits would
+    assert crossing.find((5, -7)) is None
+    assert crossing.find((PLUS, 2)) is None
 
 
 def test_empty_arrangement_single_chamber():

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from varchenko import cli, varmatrix
-from varchenko.faces import enumerate_faces
+from varchenko.faces import enumerate_faces, memoized
 from varchenko.files import bundled_text, parse_arrangement
 from varchenko.polyring import mask_monomial
 from varchenko.varmatrix import (
@@ -49,8 +49,8 @@ def distinct_apartments(complex_):
     return list(seen.values())
 
 
-def formula(complex_, chambers, non_chambers, ids):
-    _, beta = beta_details(complex_, chambers, non_chambers, ids)
+def formula(complex_, non_chambers, ids):
+    _, beta = beta_details(complex_, *ids)
     return product_formula(complex_, non_chambers, beta["betas"])
 
 
@@ -66,7 +66,7 @@ def test_verdict_matches_full_comparison_on_every_apartment(name):
     apartments = distinct_apartments(complex_)
     for chambers, non_chambers, ids in apartments:
         matrix = varchenko_matrix(chambers)
-        factored = formula(complex_, chambers, non_chambers, ids)
+        factored = formula(complex_, non_chambers, ids)
         assert symbolic_verdict(matrix, factored) == (full_comparison(matrix, factored) is None)
         assert factored.divided(reduce_rows(matrix)[1]) is not None, ids
     assert len(apartments) > 30
@@ -112,12 +112,13 @@ def test_perturbed_products_give_the_full_comparison_records(name, monkeypatch):
     cases = {"exact": 0, "not exact": 0}
     for chambers, non_chambers, ids in random.Random(name).sample(symbolic, 12):
         matrix = varchenko_matrix(chambers)
-        factored = formula(complex_, chambers, non_chambers, ids)
+        factored = formula(complex_, non_chambers, ids)
         weights = {mask_monomial(face.zero) for face in non_chambers}
         counts = reduce_rows(matrix)[1]
         for product in perturbations(factored, weights, counts):
             monkeypatch.setattr(varmatrix, "product_formula", lambda *_: product)
-            record = varmatrix._factorization(complex_, chambers, non_chambers, ids, 0, 10)
+            # the computation behind the memo, so each product gets its own record
+            record = varmatrix._factorization.__wrapped__(complex_, *ids, 0, 10)
             assert record == expected_record(matrix, product), (ids, product.text())
             cases["exact" if product.divided(counts) else "not exact"] += 1
     assert min(cases.values()) >= 20, cases
@@ -139,7 +140,7 @@ def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
     real_det_packed = varmatrix.det_packed
     real_expand_rows = varmatrix.expand_rows
     real_times = varmatrix._times_factor_power
-    real_factorization = varmatrix._factorization
+    real_factorization = varmatrix._factorization.__wrapped__
 
     def det_packed(*args):
         calls["det_packed"] += 1
@@ -153,11 +154,12 @@ def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
         exponents.append(exponent)
         return real_times(packed, key, exponent)
 
-    def factorization(complex_, chambers, non_chambers, ids, seed, trials):
+    @memoized  # as the real record, so it runs once per apartment record
+    def factorization(complex_, chamber_ids, face_ids, seed, trials):
         exponents.clear()
         calls["expand_rows"] = 0
-        record = real_factorization(complex_, chambers, non_chambers, ids, seed, trials)
-        records.append((complex_, chambers, non_chambers, ids, record,
+        record = real_factorization(complex_, chamber_ids, face_ids, seed, trials)
+        records.append((complex_, chamber_ids, face_ids, record,
                         sum(exponents), calls["expand_rows"]))
         return record
 
@@ -172,17 +174,19 @@ def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
     assert calls["det_packed"] == 0
 
     symbolic = worked = 0
-    for complex_, chambers, non_chambers, ids, (status, details), expanded, works in records:
+    for complex_, chamber_ids, face_ids, (status, details), expanded, works in records:
         assert status == "pass"
         if details["mode"] != "symbolic":
             continue
         symbolic += 1
+        ids = chamber_ids, face_ids
         assert works in (0, 1), ids
         if not works:
             assert expanded == 0, ids
             continue
         worked += 1
-        _, beta = beta_details(complex_, chambers, non_chambers, ids)
+        _, beta = beta_details(complex_, *ids)
+        chambers = [complex_.faces[i] for i in chamber_ids]
         pulled_out = sum(reduce_rows(varchenko_matrix(chambers))[1].values())
         assert expanded == sum(beta["betas"].values()) - pulled_out, ids
     assert 0 < worked < symbolic

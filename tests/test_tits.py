@@ -89,7 +89,7 @@ def corrupted_generic3():
     wrong = opposite_through(complex_, vertex, chamber)
     row = list(_product_row(complex_, vertex))
     row[chamber.id] = wrong.id
-    complex_._products[vertex.id] = tuple(row)
+    complex_._memo[_product_row][vertex,] = tuple(row)
     product = sign_product(complex_)
 
     def corrupted(f, g):
@@ -127,7 +127,7 @@ def test_missing_product_face_raises_complex_invariant_error(generic3):
     message = re.escape(f"mask {missing.half:#b})")
     with pytest.raises(ComplexInvariantError, match=message):
         tits_product(broken, f, g)
-    assert f.id not in broken._products
+    assert (f,) not in broken._memo[_product_row]
 
 
 def test_opposite_through_examples(r1, crossing):
