@@ -66,11 +66,9 @@ def find_apartment(complex_: FaceComplex, subset, base_signs):
     """The apartment with these base signs, +1 or -1 per subset member, or None."""
     if len(base_signs) != len(subset) or not all(s in (PLUS, MINUS) for s in base_signs):
         return None
+    apartments = enumerate_apartments(complex_, subset)  # checks the subset first
     half = half_mask(zip(subset, base_signs))
-    return next(
-        (a for a in enumerate_apartments(complex_, subset) if a.half == half),
-        None,
-    )
+    return next((a for a in apartments if a.half == half), None)
 
 
 def faces_in(complex_: FaceComplex, apartment: Apartment):

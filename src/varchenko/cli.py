@@ -165,12 +165,15 @@ def _trial_args(parser):
     parser.add_argument("--trials", type=_positive_int, default=10)
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    arrangement = parse_arrangement(text)
+
+
+def _load(path: str):
+    arrangement = parse_arrangement(_read(path))
     return arrangement, enumerate_faces(arrangement)
 
 
@@ -241,45 +244,39 @@ def cmd_varchenko(args) -> int:
     arrangement, complex_ = _load(args.file)
     apartment = _apartment_from_args(args, complex_)
     seed = args.seed if args.seed is not None else _default_seed()
-    where, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
+    where, ids = resolve_apartment(complex_, apartment)
+    chambers, non_chambers = ([complex_.faces[i] for i in part] for part in ids)
     matrix = varchenko_matrix(chambers)
     beta_status, beta = beta_details(complex_, *ids)
     factored = product_formula(complex_, non_chambers, beta["betas"])
-    mode, outcome = compare_with_product(
+    mode, equal, evidence = compare_with_product(
         matrix, factored, args.mode, seed, args.trials
     )
+    verified = equal and beta_status == PASS
 
     payload = {
         "schema": SCHEMA_VERSION,
         "arrangement": arrangement_digest(arrangement),
         "apartment": where,
-        "chambers": [c.id for c in chambers],
+        "chambers": list(ids[0]),
         "matrix": matrix.entry_texts(),
         "factored": factored.text(),
         "mode": mode,
+        "verified": verified,
     }
     if beta_status == FAIL:
         payload["beta_mismatches"] = beta["mismatches"]
     if mode == "symbolic":
-        verified, determinant = outcome
-        payload["determinant"] = determinant()
+        payload["determinant"] = evidence()
         payload["expanded_product"] = format_polynomial(factored.expand())
     else:
         payload["seed"] = seed
         payload["prime"] = DEFAULT_PRIME
         payload["trials"] = [
-            {
-                "trial": t.trial,
-                "digest": t.digest,
-                "determinant": t.value,
-                "product": product,
-                "match": t.value == product,
-            }
-            for t, product in outcome
+            {"trial": t.trial, "digest": t.digest, "determinant": t.value,
+             "product": t.product, "match": t.match}
+            for t in evidence
         ]
-        verified = all(row["match"] for row in payload["trials"])
-    verified = verified and beta_status == PASS
-    payload["verified"] = verified
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -295,12 +292,9 @@ def cmd_varchenko(args) -> int:
             print(f"expanded product: {payload['expanded_product']}")
         else:
             print(f"modular trials (seed {seed}, prime {DEFAULT_PRIME}):")
-            for row in payload["trials"]:
-                status = "match" if row["match"] else "MISMATCH"
-                print(
-                    f"  trial {row['trial']}  {row['digest']}  "
-                    f"det={row['determinant']}  product={row['product']}  {status}"
-                )
+            for t in evidence:
+                print(f"  trial {t.trial}  {t.digest}  det={t.value}  "
+                      f"product={t.product}  {'match' if t.match else 'MISMATCH'}")
         print(f"verified: {verified}")
     return 0 if verified else 1
 
@@ -393,15 +387,11 @@ def parse_expected_product(text: str, nvars: int) -> FactoredDet:
 
 
 def cmd_detfile(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.file}: {exc}") from None
-    matrix = parse_matrix(text)
+    matrix = parse_matrix(_read(args.file))
     expected = FactoredDet(matrix.nvars, ())  # 1, when only det V is asked for
     if args.expected:
         expected = parse_expected_product(args.expected, matrix.nvars)
-    _, (verified, determinant) = compare_with_product(matrix, expected, "symbolic", 0, 1)
+    _, verified, determinant = compare_with_product(matrix, expected, "symbolic", 0, 1)
     payload = {"schema": SCHEMA_VERSION, "size": matrix.size, "determinant": determinant()}
     if args.expected:
         payload["expected"] = expected.text()

@@ -121,7 +121,6 @@ class FaceComplex:
         self.by_half = {f.half: f for f in self.faces}
         self.chamber_ids = tuple(f.id for f in self.faces if f.is_chamber)
         self.min_dim = min((f.dim for f in self.faces), default=0)
-        self._recession_masks = None  # see face_is_bounded
         self._memo = defaultdict(dict)  # memoized function -> {args: result}
         # symbolic factorization passes up to renaming hyperplanes (varmatrix._class_key);
         # passes only, not a memo table: a class not in it is compared in full
@@ -152,9 +151,7 @@ class FaceComplex:
         arrangement with G.half a subset of face.half, and then so does a
         minimal nonzero one, whose masks are computed once per complex.
         """
-        if self._recession_masks is None:
-            self._recession_masks = _recession_masks(self.arrangement)
-        return all(mask & ~face.half for mask in self._recession_masks)
+        return all(mask & ~face.half for mask in _recession_masks(self))
 
     def __repr__(self):
         return (
@@ -328,12 +325,14 @@ def _step(constraints, point, direction, scale):
     return best or (scale, point[-1])
 
 
-def _recession_masks(arrangement):
+@memoized
+def _recession_masks(complex_):
     """Masks of the minimal nonzero faces of the recession arrangement, the
     central arrangement {a_h.d = 0} of the distinct normals: its rays, or,
     when the normals do not span R^n, their common null space, whose mask 0
     makes every face unbounded. Parallel hyperplanes share one central
     hyperplane, each with its orientation relative to it."""
+    arrangement = complex_.arrangement
     merged = {}  # distinct central hyperplane -> its index
     places = [_merge((h.integer[0], 0), merged) for h in arrangement.hyperplanes]
     faces = _face_pieces(arrangement.dimension, list(merged))

@@ -66,16 +66,6 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def assignment_values(assignment, nvars: int, prime: int):
-    """A {VarId: int} assignment as a list indexed by variable, reduced mod
-    prime; None where a variable is unassigned."""
-    values = [None] * nvars
-    for var, v in assignment.items():
-        if var.index < nvars:
-            values[var.index] = v % prime
-    return values
-
-
 def set_bits(mask: int):
     """The indices of the set bits of a mask, lowest first."""
     while mask:
@@ -107,12 +97,6 @@ def lex_key(mono):
     return [(-i, e) for i, e in mono]
 
 
-def _graded_lex(term):
-    """Sort key of a (coefficient, monomial) term: degree, then `lex_key`."""
-    mono = term[1]
-    return sum(e for _, e in mono), lex_key(mono)
-
-
 @cache  # each power of a variable is written once
 def _power(i: int, e: int) -> str:
     return var_of_index(i).label() + (f"^{e}" if e > 1 else "")
@@ -125,10 +109,19 @@ def format_monomial(mono, coef: int = 1) -> str:
 
 def format_terms(terms) -> str:
     """Canonical text of [(coefficient, monomial)] terms with distinct
-    monomials, the inverse of `read_terms`."""
+    monomials, the inverse of `read_terms`. Terms sort by degree, then by
+    their exponents packed into one int, variable i at field (top - i) * w
+    of w bits, wide enough that no field carries: the order of `lex_key`."""
     if not terms:
         return "0"
-    (coef, mono), *rest = sorted(terms, key=_graded_lex)
+    top = max((mono[-1][0] for _, mono in terms if mono), default=0)
+    w = max((e for _, mono in terms for _, e in mono), default=0).bit_length()
+
+    def graded_lex(term):
+        mono = term[1]
+        return sum(e for _, e in mono), sum(e << (top - i) * w for i, e in mono)
+
+    (coef, mono), *rest = sorted(terms, key=graded_lex)
     pieces = [format_monomial(mono, coef)]
     for coef, mono in rest:
         pieces += [" + " if coef > 0 else " - ", format_monomial(mono, abs(coef))]

@@ -24,14 +24,12 @@ from typing import NamedTuple
 from .faces import Face, FaceComplex, centralization, closure_faces, memoized
 from .polyring import (
     Polynomial,
-    assignment_values,
     format_monomial,
     format_polynomial,
     format_terms,
     lex_key,
     mask_monomial,
     set_bits,
-    var_of_index,
 )
 from .report import FAIL, PASS, CheckResult
 from .tits import _product_row, opposite_through
@@ -355,38 +353,47 @@ def det_symbolic(matrix: VMatrix) -> Polynomial:
 
 
 class ModularTrial(NamedTuple):
+    """One modular trial: its index, the digest of its assignment, det V
+    there and, when a product was given, the product there."""
+
     trial: int
     digest: str
     value: int
+    product: int | None = None
+
+    @property
+    def match(self) -> bool:
+        return self.value == self.product
 
 
 def modular_assignment(nvars: int, seed, trial: int, prime: int):
-    """Deterministic uniform assignment of every ring variable mod prime."""
+    """Deterministic uniform values in [0, prime) of the ring variables, a
+    list indexed by variable."""
     rng = random.Random(f"{seed}:{trial}")
-    return {
-        var_of_index(i): rng.randrange(prime) for i in range(nvars)
-    }
+    return [rng.randrange(prime) for _ in range(nvars)]
 
 
-def assignment_digest(assignment, prime: int) -> str:
+def assignment_digest(values, prime: int) -> str:
+    """Digest of an assignment, listing each hyperplane's h^- before its h^+
+    (variable i at place i ^ 1)."""
     payload = ",".join(
-        f"{var.hyperplane}{'+' if var.sign > 0 else '-'}={value}"
-        for var, value in sorted(assignment.items())
+        f"{i // 2}{'-' if i & 1 else '+'}={values[i]}"
+        for i in sorted(range(len(values)), key=lambda i: i ^ 1)
     )
     return hashlib.sha256(f"{prime};{payload}".encode()).hexdigest()[:16]
 
 
 def _evaluator(matrix: VMatrix, prime: int):
-    """det V mod prime as a function of an assignment, planned once. A call
-    fills a table (0 for None, 1 for mask 0, each of `masks` from the mask
-    less its lowest bit) and reads the `reduce_rows` residual through it."""
+    """det V mod prime as a function of the values of the variables in
+    [0, prime), planned once. A call fills a table (0 for None, 1 for mask
+    0, each of `masks` from the mask less its lowest bit) and reads the
+    `reduce_rows` residual through it."""
     rows, counts = reduce_rows(matrix)
     masks = sorted({e >> k << k for row in rows for e in row if e
                     for k in range(e.bit_length())})
     steps = [(mask, mask & mask - 1, (mask & -mask).bit_length() - 1) for mask in masks]
 
-    def det(assignment) -> int:
-        values = assignment_values(assignment, matrix.nvars, prime)
+    def det(values) -> int:
         table = {None: 0, 0: 1}
         for mask, parent, var in steps:
             table[mask] = table[parent] * values[var] % prime
@@ -398,30 +405,26 @@ def _evaluator(matrix: VMatrix, prime: int):
     return det
 
 
-def det_at(matrix: VMatrix, assignment, prime: int) -> int:
-    """Determinant of the matrix at one assignment, mod prime, through the
-    `_evaluator` plan of the `reduce_rows` residual."""
-    return _evaluator(matrix, prime)(assignment)
+def det_at(matrix: VMatrix, values, prime: int) -> int:
+    """Determinant of the matrix mod prime at the values of its variables,
+    through the `_evaluator` plan of the `reduce_rows` residual."""
+    return _evaluator(matrix, prime)(values)
 
 
 def det_modular(matrix: VMatrix, seed=0, trials: int = 10, product=None):
-    """Determinant values at `trials` random evaluations mod DEFAULT_PRIME,
-    in trial order; each trial is deterministic from (seed, trial index).
-    One `_evaluator` serves every trial. With a `FactoredDet` `product`,
-    each trial is a (ModularTrial, product value) pair at one assignment."""
+    """One `ModularTrial` per trial, in trial order: det V at a random
+    assignment mod DEFAULT_PRIME, deterministic from (seed, trial index),
+    and there also the `FactoredDet` `product` when one is given. One
+    `_evaluator` serves every trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
     det = _evaluator(matrix, DEFAULT_PRIME)
-
-    def run(trial: int):
-        assignment = modular_assignment(matrix.nvars, seed, trial, DEFAULT_PRIME)
-        digest = assignment_digest(assignment, DEFAULT_PRIME)
-        result = ModularTrial(trial, digest, det(assignment))
-        if product is None:
-            return result
-        return result, product.eval_mod(assignment, DEFAULT_PRIME)
-
-    return [run(t) for t in range(trials)]
+    drawn = (modular_assignment(matrix.nvars, seed, t, DEFAULT_PRIME) for t in range(trials))
+    return [
+        ModularTrial(t, assignment_digest(values, DEFAULT_PRIME), det(values),
+                     None if product is None else product.eval_mod(values, DEFAULT_PRIME))
+        for t, values in enumerate(drawn)
+    ]
 
 
 def _det_mod(rows, prime: int) -> int:
@@ -550,8 +553,8 @@ class FactoredDet:
         packing = Packing.covering(self.nvars, self.bounds())
         return packing.polynomial(self.packed(packing))
 
-    def eval_mod(self, assignment, prime: int) -> int:
-        values = assignment_values(assignment, self.nvars, prime)
+    def eval_mod(self, values, prime: int) -> int:
+        """The product mod prime at the values of the variables in [0, prime)."""
         value = 1
         for mono, exponent in self.factors.items():
             b = prod(pow(values[i], e, prime) for i, e in mono)
@@ -575,20 +578,22 @@ def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> Factored
 
 
 def resolve_apartment(complex_: FaceComplex, apartment):
-    """(description, chambers, non-chamber faces, (their ids)) of an
-    apartment, None standing for the full arrangement; all but the first are
-    memoized by `half` mask, 0 for the full arrangement as for the empty subset."""
+    """(description, (chamber ids, non-chamber face ids)) of an apartment,
+    None standing for the full arrangement; the ids are memoized by `half`
+    mask, 0 for the full arrangement as for the empty subset."""
     where = "full arrangement" if apartment is None else apartment.describe()
-    return (where, *_apartment_faces(complex_, 0 if apartment is None else apartment.half))
+    return where, _apartment_faces(complex_, 0 if apartment is None else apartment.half)
 
 
 @memoized
 def _apartment_faces(complex_: FaceComplex, half: int):
-    """(chambers, non-chamber faces, (their ids)) inside the mask `half`."""
-    chambers = [c for c in complex_.chambers() if not half & ~c.half]
-    non_chambers = [f for f in complex_.faces if not half & ~f.half and not f.is_chamber]
-    ids = (tuple(c.id for c in chambers), tuple(f.id for f in non_chambers))
-    return chambers, non_chambers, ids
+    """(chamber ids, non-chamber face ids) of the faces inside the mask
+    `half`, in id order, found in one scan."""
+    chambers, others = [], []
+    for f in complex_.faces:
+        if not half & ~f.half:
+            (others if f.zero else chambers).append(f.id)
+    return tuple(chambers), tuple(others)
 
 
 @memoized
@@ -607,11 +612,12 @@ def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, tri
     """The determinant of `matrix` beside the product formula, by one route.
 
     `mode` "auto" takes the symbolic route up to DEFAULT_SYMBOLIC_THRESHOLD
-    chambers and the modular one beyond. Returns (mode, outcome): for
-    "symbolic" (whether they are equal, a function returning the text of
-    det V, built only where it is printed); for "modular" one (ModularTrial,
-    product value) pair per trial, both taken at the trial's assignment mod
-    DEFAULT_PRIME.
+    chambers and the modular one beyond. Returns (mode, equal, evidence),
+    `equal` the verdict of either route. For "symbolic", `evidence` is a
+    function returning the text of det V, built only where it is printed.
+    For "modular" it is the `det_modular` trials, each holding det V and
+    the product at the trial's assignment mod DEFAULT_PRIME; they are equal
+    when every trial matches.
 
     Symbolic: det V = prod_h (1 - h^+ h^-)^{c_h} det V' (`reduce_rows`) in
     the domain Z[h], so a product holding each (1 - h^+ h^-)^{c_h} equals
@@ -639,8 +645,9 @@ def compare_with_product(matrix: VMatrix, factored: FactoredDet, mode, seed, tri
             det = _times_pulled_out(residual, counts, packing)
             return format_terms(packing.terms(det))
 
-        return mode, (equal, determinant)
-    return mode, det_modular(matrix, seed, trials, product=factored)
+        return mode, equal, determinant
+    outcome = det_modular(matrix, seed, trials, product=factored)
+    return mode, all(t.match for t in outcome), outcome
 
 
 def verify_factorization(
@@ -654,7 +661,7 @@ def verify_factorization(
     kept by its `_class_key`, so a later apartment of the same class passes
     without building a matrix; one that fails is compared in full, so its
     record prints its own determinant and product."""
-    where, _, _, ids = resolve_apartment(complex_, apartment)
+    where, ids = resolve_apartment(complex_, apartment)
     status, details = _factorization(complex_, *ids, seed, trials)
     return CheckResult("factorization", status, {"apartment": where}, details)
 
@@ -676,35 +683,27 @@ def _factorization(complex_, chamber_ids, face_ids, seed, trials):
     if key in complex_._passing_classes:
         details["mode"] = "symbolic"
         return PASS, details
-    mode, outcome = compare_with_product(
+    mode, equal, evidence = compare_with_product(
         varchenko_matrix(chambers), factored, "auto", seed, trials
     )
     details["mode"] = mode
     if mode == "symbolic":
-        equal, determinant = outcome
         if equal:
             complex_._passing_classes.add(key)
-            return PASS, details
-        details["determinant"] = determinant()
-        details["expected"] = format_polynomial(factored.expand())
-        return FAIL, details
-
-    details["seed"] = str(seed)
-    details["prime"] = DEFAULT_PRIME
-    details["trials"] = [
-        {"trial": t.trial, "digest": t.digest, "value": t.value}
-        for t, _ in outcome
-    ]
-    bad = [
-        {"trial": t.trial, "digest": t.digest, "determinant": t.value,
-         "product": product}
-        for t, product in outcome
-        if t.value != product
-    ]
-    if bad:
-        details["mismatches"] = bad
-        return FAIL, details
-    return PASS, details
+        else:
+            details["determinant"] = evidence()
+            details["expected"] = format_polynomial(factored.expand())
+    else:
+        details.update(seed=str(seed), prime=DEFAULT_PRIME, trials=[
+            {"trial": t.trial, "digest": t.digest, "value": t.value} for t in evidence
+        ])
+        if not equal:
+            details["mismatches"] = [
+                {"trial": t.trial, "digest": t.digest, "determinant": t.value,
+                 "product": t.product}
+                for t in evidence if not t.match
+            ]
+    return PASS if equal else FAIL, details
 
 
 def _class_key(chambers, factored):
@@ -734,7 +733,7 @@ def _class_key(chambers, factored):
 
 def beta_independence_check(complex_: FaceComplex, apartment=None) -> CheckResult:
     """Standalone report entry for multiplicity well-definedness."""
-    where, _, _, ids = resolve_apartment(complex_, apartment)
+    where, ids = resolve_apartment(complex_, apartment)
     status, details = beta_details(complex_, *ids)
     return CheckResult("beta_independence", status, {"apartment": where}, details)
 

@@ -135,14 +135,14 @@ class Polynomial(polyring.Polynomial):
         return result
 
 
-def eval_mod_p(poly, assignment, prime: int) -> int:
-    """Value of a polynomial mod prime at a total {VarId: int} assignment."""
-    values = {var.index: v % prime for var, v in assignment.items()}
+def eval_mod_p(poly, values, prime: int) -> int:
+    """Value of a polynomial mod prime at the values of its variables, a
+    list indexed by variable that must reach every variable it holds."""
     total = 0
     for mono, coef in poly.terms.items():
         product = coef
         for i, e in mono:
-            if i not in values:
+            if i >= len(values):
                 raise ValueError(
                     f"assignment misses variable {var_of_index(i).label()}"
                 )
@@ -185,11 +185,11 @@ def det_by_permutations(matrix) -> Polynomial:
     return total
 
 
-def det_at_dense(matrix, assignment, prime: int) -> int:
-    """Determinant of a `VMatrix` at one {VarId: int} assignment, mod prime:
-    every entry evaluated, then Gaussian elimination mod prime. The library
-    evaluates the `reduce_rows` residual instead."""
-    values = {var.index: v % prime for var, v in assignment.items()}
+def det_at_dense(matrix, values, prime: int) -> int:
+    """Determinant of a `VMatrix` mod prime at the values of its variables,
+    a list indexed by variable: every entry evaluated, then Gaussian
+    elimination mod prime. The library evaluates the `reduce_rows` residual
+    instead."""
     rows = []
     for row in matrix.entries:
         evaluated = []

@@ -85,7 +85,7 @@ def test_apartments_with_one_chamber_set_keep_their_own_description():
     complex_ = enumerate_faces(parse_arrangement(CYCLIC5))
     by_ids = {}
     for apartment in every_apartment(complex_):
-        by_ids.setdefault(resolve_apartment(complex_, apartment)[3], []).append(apartment)
+        by_ids.setdefault(resolve_apartment(complex_, apartment)[1], []).append(apartment)
     shared = [group for group in by_ids.values() if len(group) > 1]
     assert shared
     for group in shared:
@@ -173,7 +173,8 @@ def symbolic_apartments(text):
     takes the symbolic route."""
     complex_ = enumerate_faces(parse_arrangement(text))
     for apartment in every_apartment(complex_):
-        _, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
+        _, ids = resolve_apartment(complex_, apartment)
+        chambers, non_chambers = ([complex_.faces[i] for i in part] for part in ids)
         if len(chambers) <= DEFAULT_SYMBOLIC_THRESHOLD:
             _, beta = beta_details(complex_, *ids)
             factored = product_formula(complex_, non_chambers, beta["betas"])

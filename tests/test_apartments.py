@@ -123,3 +123,13 @@ def test_subset_validation(crossing):
         enumerate_apartments(crossing, [5])
     with pytest.raises(ValueError):
         enumerate_apartments(crossing, [0, 0])
+
+
+@pytest.mark.parametrize("subset", [(-1,), (5,), (0, -1)])
+def test_find_apartment_checks_the_subset_before_its_mask(r1, crossing, subset):
+    # a negative index would make a negative shift in the apartment's mask
+    for complex_ in (r1, crossing):
+        m = complex_.arrangement.size
+        bad = min(subset) if min(subset) < 0 else max(subset)
+        with pytest.raises(ValueError, match=rf"^hyperplane index {bad} out of range 0\.\.{m - 1}$"):
+            find_apartment(complex_, subset, (PLUS,) * len(subset))

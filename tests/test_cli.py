@@ -114,6 +114,12 @@ def test_varchenko_subset_flag_validation(data_dir, capsys):
     ) == 2
 
 
+def test_varchenko_negative_subset_index_exits_2(data_dir, capsys):
+    argv = ["varchenko", str(data_dir / "r1.arr"), "--subset", "-1", "--apartment-signs", "+"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: hyperplane index -1 out of range 0..0\n"
+
+
 def test_varchenko_modular(data_dir, capsys):
     code = main(
         [

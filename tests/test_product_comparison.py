@@ -2,7 +2,9 @@
 with the product formula divided by the pulled-out factors (1 - h^+ h^-)^c_h,
 and falls back to det V against the whole product when that quotient is not
 exact. Its verdict must be that of the full comparison in
-`oracles.full_comparison`, and a failing record must show the same texts."""
+`oracles.full_comparison`, and a failing record must show the same texts.
+A modular comparison must fail exactly the trials where dense evaluation of
+det V and of the product differ."""
 
 import contextlib
 import io
@@ -15,17 +17,19 @@ from varchenko.faces import enumerate_faces, memoized
 from varchenko.files import bundled_text, parse_arrangement
 from varchenko.polyring import mask_monomial
 from varchenko.varmatrix import (
+    DEFAULT_PRIME,
     DEFAULT_SYMBOLIC_THRESHOLD,
     FactoredDet,
     beta_details,
     compare_with_product,
+    modular_assignment,
     product_formula,
     reduce_rows,
     resolve_apartment,
     varchenko_matrix,
 )
 from corpus import random_arrangement
-from oracles import full_comparison
+from oracles import Polynomial, det_at_dense, eval_mod_p, full_comparison
 from test_apartment_memo import cyclic, every_apartment
 
 
@@ -44,7 +48,8 @@ def distinct_apartments(complex_):
     the full arrangement included."""
     seen = {}
     for apartment in [None, *every_apartment(complex_)]:
-        _, chambers, non_chambers, ids = resolve_apartment(complex_, apartment)
+        _, ids = resolve_apartment(complex_, apartment)
+        chambers, non_chambers = ([complex_.faces[i] for i in part] for part in ids)
         seen[ids] = chambers, non_chambers, ids
     return list(seen.values())
 
@@ -55,7 +60,7 @@ def formula(complex_, non_chambers, ids):
 
 
 def symbolic_verdict(matrix, factored):
-    mode, (equal, _) = compare_with_product(matrix, factored, "symbolic", 0, 1)
+    mode, equal, _ = compare_with_product(matrix, factored, "symbolic", 0, 1)
     assert mode == "symbolic"
     return equal
 
@@ -191,3 +196,71 @@ def test_passing_sweep_expands_only_the_quotient(tmp_path, monkeypatch):
         assert expanded == sum(beta["betas"].values()) - pulled_out, ids
     assert 0 < worked < symbolic
     assert symbolic > 50
+
+
+def product_at(product, values, prime):
+    """The product mod prime at `values`, each factor 1 - b evaluated by
+    `eval_mod_p`."""
+    value = 1
+    for mono, exponent in product.factors.items():
+        factor = Polynomial.one(product.nvars) - Polynomial(product.nvars, {mono: 1})
+        value = value * pow(eval_mod_p(factor, values, prime), exponent, prime) % prime
+    return value
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "r3"])
+def test_perturbed_products_fail_the_modular_trials_the_oracles_tell_apart(name, monkeypatch):
+    complex_ = enumerate_faces(ARRANGEMENTS[name]())
+    modular = [
+        apartment for apartment in distinct_apartments(complex_)
+        if len(apartment[0]) > DEFAULT_SYMBOLIC_THRESHOLD
+    ]
+    assert modular
+    trials = 6
+    partial = 0
+    # at the prime 3 a perturbed product often meets det V at some trials
+    # and not at others, so the mismatches are a proper subset of the trials
+    for prime in (DEFAULT_PRIME, 3):
+        monkeypatch.setattr(varmatrix, "DEFAULT_PRIME", prime)
+        for chambers, non_chambers, ids in modular:
+            matrix = varchenko_matrix(chambers)
+            factored = formula(complex_, non_chambers, ids)
+            weights = {mask_monomial(face.zero) for face in non_chambers}
+            drawn = [modular_assignment(matrix.nvars, 0, t, prime) for t in range(trials)]
+            dets = [det_at_dense(matrix, values, prime) for values in drawn]
+            for product in [factored, *perturbations(factored, weights, reduce_rows(matrix)[1])]:
+                monkeypatch.setattr(varmatrix, "product_formula", lambda *_: product)
+                status, details = varmatrix._factorization.__wrapped__(
+                    complex_, *ids, 0, trials
+                )
+                assert details["mode"] == "modular"
+                assert [t["value"] for t in details["trials"]] == dets
+                products = [product_at(product, values, prime) for values in drawn]
+                expected = [
+                    {"trial": t["trial"], "digest": t["digest"], "determinant": d, "product": p}
+                    for t, d, p in zip(details["trials"], dets, products) if d != p
+                ]
+                assert details.get("mismatches", []) == expected, product.text()
+                assert status == ("fail" if expected else "pass")
+                if prime == DEFAULT_PRIME:
+                    assert (status == "pass") == (product is factored)
+                partial += 0 < len(expected) < trials
+    assert partial >= 5
+
+
+def test_varchenko_modular_prints_a_mismatch_and_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cyclic5.arr"
+    path.write_text(cyclic(5))
+    real = cli.product_formula
+
+    def raised(complex_, non_chambers, betas):
+        factored = real(complex_, non_chambers, betas)
+        weight = next(iter(factored.factors))
+        return with_exponent(factored, weight, factored.factors[weight] + 1)
+
+    monkeypatch.setattr(cli, "product_formula", raised)
+    assert cli.main(["varchenko", str(path), "--mode", "modular", "--trials", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    trials = [line for line in out if line.startswith("  trial ")]
+    assert len(trials) == 3 and all(line.endswith("  MISMATCH") for line in trials)
+    assert out[-1] == "verified: False"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from varchenko.tits import tits_product
 from varchenko.varmatrix import (
     DEFAULT_PRIME,
     FactoredDet,
+    assignment_digest,
     beta_independence,
     det_at,
     det_modular,
@@ -413,15 +415,13 @@ def test_det_symbolic_12_chamber_apartment_matches_modular():
 
 def test_det_modular_identity_at_zero(crossing):
     matrix = varchenko_matrix(crossing.chambers())
-    zeros = {
-        VarId(h, s): 0 for h in range(2) for s in (PLUS, MINUS)
-    }
+    zeros = [0] * 4  # h1^+, h1^-, h2^+, h2^-
     assert det_at(matrix, zeros, 101) == 1
 
 
 def test_det_modular_r1_small_prime(r1):
     matrix = varchenko_matrix(r1.chambers())
-    assignment = {VarId(0, PLUS): 2, VarId(0, MINUS): 3}
+    assignment = [2, 3]  # h1^+, h1^-
     assert det_at(matrix, assignment, 101) == 96
 
 
@@ -433,6 +433,32 @@ def test_det_modular_matches_symbolic(crossing):
     for trial in trials:
         assignment = modular_assignment(matrix.nvars, 42, trial.trial, DEFAULT_PRIME)
         assert trial.value == eval_mod_p(det, assignment, DEFAULT_PRIME)
+
+
+def var_id_assignment(nvars, seed, trial, prime):
+    """The assignment as a {VarId: value} dict, drawn in index order."""
+    rng = random.Random(f"{seed}:{trial}")
+    return {var_of_index(i): rng.randrange(prime) for i in range(nvars)}
+
+
+def var_id_digest(assignment, prime):
+    """The digest of a {VarId: value} assignment, listed in VarId order."""
+    payload = ",".join(
+        f"{var.hyperplane}{'+' if var.sign > 0 else '-'}={value}"
+        for var, value in sorted(assignment.items())
+    )
+    return hashlib.sha256(f"{prime};{payload}".encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("nvars", range(10))
+def test_assignment_digest_matches_the_var_id_formula(nvars):
+    # odd counts too: the last hyperplane then has only h^+
+    for prime in (3, 101, DEFAULT_PRIME):
+        for trial in range(3):
+            values = modular_assignment(nvars, "digest", trial, prime)
+            by_var = var_id_assignment(nvars, "digest", trial, prime)
+            assert values == [by_var[var_of_index(i)] for i in range(nvars)]
+            assert assignment_digest(values, prime) == var_id_digest(by_var, prime)
 
 
 def test_det_modular_deterministic(crossing):
@@ -515,8 +541,8 @@ def test_det_at_is_zero_where_a_pulled_out_factor_vanishes(r1):
     ):
         counts = reduce_rows(matrix)[1]
         for h in counts:
-            assignment = {var_of_index(i): rng.randrange(101) for i in range(matrix.nvars)}
-            assignment[VarId(h, PLUS)], assignment[VarId(h, MINUS)] = 2, 51
+            assignment = [rng.randrange(101) for _ in range(matrix.nvars)]
+            assignment[2 * h], assignment[2 * h + 1] = 2, 51  # h^+, h^-
             assert det_at(matrix, assignment, 101) == 0
             assert det_at_dense(matrix, assignment, 101) == 0
 
