@@ -1,7 +1,8 @@
 """Command-line front end: face listings, Varchenko matrices and
 determinants, verification suites, and explicit matrix files.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad input.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 bad input,
+141 the reader of stdout closed it early (as a SIGPIPE death would).
 Hyperplane positions on the command line (--subset) are 0-based file
 positions; rendered labels (H1, h1^+) are 1-based.
 """
@@ -22,7 +23,7 @@ from .faces import enumerate_faces, format_signs
 from .files import arrangement_digest, parse_arrangement, parse_matrix
 from .geometry import CHAR_SIGNS
 from .polyring import format_polynomial, read_terms
-from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport
+from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport, write_json
 from .tits import rank, tits_semigroup_check
 from .varmatrix import (
     DEFAULT_PRIME,
@@ -73,6 +74,12 @@ def _default_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process for each threshold its help names."""
+    return _parser(DEFAULT_SYMBOLIC_THRESHOLD)
+
+
+@cache
+def _parser(threshold: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varchenko",
         description=(
@@ -88,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_faces.add_argument("file", help="arrangement file")
     p_faces.add_argument("--json", action="store_true")
-    p_faces.set_defaults(func=cmd_faces)
 
     p_var = sub.add_parser(
         "varchenko",
@@ -100,12 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "symbolic", "modular"),
         default="auto",
-        help=f"auto picks symbolic up to {DEFAULT_SYMBOLIC_THRESHOLD} chambers, "
+        help=f"auto picks symbolic up to {threshold} chambers, "
         "modular beyond",
     )
     _trial_args(p_var)
     p_var.add_argument("--json", action="store_true")
-    p_var.set_defaults(func=cmd_varchenko)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("file", help="arrangement file")
@@ -123,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     _apartment_args(p_verify)
     _trial_args(p_verify)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_det = sub.add_parser(
         "detfile", help="determinant of an explicitly supplied matrix file"
@@ -134,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="factored product to check, e.g. '(1 - h1^+ h1^-)^2 ...'",
     )
     p_det.add_argument("--json", action="store_true")
-    p_det.set_defaults(func=cmd_detfile)
 
     return parser
 
@@ -224,7 +227,7 @@ def cmd_faces(args) -> int:
             "faces": rows,
             "chambers": list(complex_.chamber_ids),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        write_json(payload, sys.stdout)
         return 0
     print(
         f"arrangement {arrangement_digest(arrangement)}: "
@@ -279,7 +282,7 @@ def cmd_varchenko(args) -> int:
         ]
 
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        write_json(payload, sys.stdout)
     else:
         print(f"arrangement {payload['arrangement']}: apartment {where}")
         print(f"chambers ({len(chambers)}): {payload['chambers']}")
@@ -343,7 +346,7 @@ def cmd_verify(args) -> int:
             report.add(result)
 
     if args.json:
-        print(report.to_json())
+        write_json(report.to_dict(), sys.stdout)
     else:
         for line in report.summary_lines():
             print(line)
@@ -398,7 +401,7 @@ def cmd_detfile(args) -> int:
         payload["verified"] = verified
 
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        write_json(payload, sys.stdout)
     else:
         print(f"matrix size: {matrix.size}")
         print(f"determinant: {payload['determinant']}")
@@ -409,13 +412,19 @@ def cmd_detfile(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a command rebound later runs
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # a ParseError names the offending line
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (`| head`): stdout to devnull, so exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

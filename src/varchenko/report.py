@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 PASS = "pass"
 FAIL = "fail"
@@ -59,9 +59,45 @@ class VerificationReport:
             "checks": [e.to_dict() for e in self.entries],
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     def summary_lines(self):
         for e in self.entries:
             yield f"[{e.status.upper():7}] {e.name}"
+
+
+def write_json(obj, out) -> None:
+    """Write `obj` to `out` as `print(json.dumps(obj, indent=2, sort_keys=True))`
+    would, in chunks as it goes. Takes dicts keyed by str or int, lists,
+    tuples, str, int, bool and None, and raises TypeError on anything else,
+    so the bytes cannot differ from json.dumps."""
+    chunks = []
+    put = chunks.append
+
+    def emit(value, pad):
+        if isinstance(value, str):
+            put(encode_basestring_ascii(value))
+        elif value is None or isinstance(value, bool):
+            put("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, (dict, list, tuple)):
+            is_dict = isinstance(value, dict)
+            put("{" if is_dict else "[")
+            inner = pad + "  "
+            for i, item in enumerate(sorted(value) if is_dict else value):
+                put(",\n" + inner if i else "\n" + inner)
+                if is_dict:
+                    if isinstance(item, bool) or not isinstance(item, (str, int)):
+                        raise TypeError(f"unsupported JSON key {item!r}")
+                    key = item if isinstance(item, str) else int.__repr__(item)
+                    put(encode_basestring_ascii(key) + ": ")
+                    item = value[item]
+                emit(item, inner)
+                if len(chunks) > 4096:  # bound what a large report holds
+                    out.write("".join(chunks))
+                    chunks.clear()
+            put(("\n" + pad if value else "") + ("}" if is_dict else "]"))
+        else:
+            raise TypeError(f"unsupported JSON value {value!r}")
+
+    emit(obj, "")
+    out.write("".join(chunks) + "\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from functools import reduce
 from math import comb, prod
 from operator import or_
@@ -462,6 +463,19 @@ def _chamber_trace(complex_: FaceComplex, chamber: Face, h: int):
     return complex_.by_half.get(reduce(or_, on_h)) if on_h else None
 
 
+def _trace_counts(complex_: FaceComplex, chambers, hyperplanes):
+    """Per (face, h), the number of chambers whose closure meets H_h in the face."""
+    return Counter((_chamber_trace(complex_, c, h), h) for c in chambers for h in hyperplanes)
+
+
+def _halved(counts, face: Face, h: int) -> int:
+    count = counts[face, h]
+    if count % 2:
+        raise RuntimeError(f"odd chamber count {count} for face {face.id} on H{h + 1}; "
+                           "multiplicity must be an integer")
+    return count // 2
+
+
 def multiplicity(complex_: FaceComplex, face: Face, h: int, chambers) -> int:
     """Half the number of context chambers whose closure meets H_h in the face."""
     if face.is_chamber:
@@ -470,15 +484,7 @@ def multiplicity(complex_: FaceComplex, face: Face, h: int, chambers) -> int:
         raise ValueError(
             f"hyperplane H{h + 1} does not contain face {face.id}"
         )
-    count = sum(
-        1 for c in chambers if _chamber_trace(complex_, c, h) is face
-    )
-    if count % 2:
-        raise RuntimeError(
-            f"odd chamber count {count} for face {face.id} on H{h + 1}; "
-            "multiplicity must be an integer"
-        )
-    return count // 2
+    return _halved(_trace_counts(complex_, chambers, (h,)), face, h)
 
 
 def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
@@ -487,13 +493,12 @@ def beta_independence(complex_: FaceComplex, non_chamber_faces, chambers):
     Returns (betas, mismatches) where betas maps face id to the least value
     and mismatches lists faces whose per-hyperplane values differ.
     """
+    on = {face: sorted(centralization(face)) for face in non_chamber_faces}
+    counts = _trace_counts(complex_, chambers, set().union(*on.values()))
     betas = {}
     mismatches = []
-    for face in non_chamber_faces:
-        values = {
-            h: multiplicity(complex_, face, h, chambers)
-            for h in sorted(centralization(face))
-        }
+    for face, hyperplanes in on.items():
+        values = {h: _halved(counts, face, h) for h in hyperplanes}
         if len(set(values.values())) != 1:
             mismatches.append({"face": face.id, "per_hyperplane": values})
         betas[face.id] = min(values.values())

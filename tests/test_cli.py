@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -518,3 +522,63 @@ def test_mode_help_names_the_symbolic_threshold(monkeypatch, capsys):
     assert "auto picks symbolic up to 17 chambers" in " ".join(
         capsys.readouterr().out.split()
     )
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["varchenko", "r1.arr", "--mode", "modular", "--seed", "4", "--json"],
+         ["varchenko", "r1.arr", "--mode", "modular", "--json"]),
+        (["verify", "two_pairs.arr", "--checks", "beta", "--json"],
+         ["verify", "two_pairs.arr", "--all", "--json"]),
+        (["faces", "crossing.arr", "--json"], ["verify", "crossing.arr"]),
+    ],
+    ids=["seed then none", "checks then all", "faces then verify"],
+)
+def test_reused_parser_keeps_no_state_between_calls(
+    data_dir, capsys, monkeypatch, first, second
+):
+    monkeypatch.delenv("VARCHENKO_SEED", raising=False)
+    first, second = ([argv[0], str(data_dir / argv[1]), *argv[2:]] for argv in (first, second))
+    separate = []
+    for argv in (first, second):
+        cli._parser.cache_clear()  # as in a fresh process
+        separate.append(_run(argv, capsys))
+    assert separate[0] != separate[1]
+    cli._parser.cache_clear()
+    assert [_run(first, capsys), _run(second, capsys)] == separate
+    assert build_parser() is build_parser()
+
+
+def test_command_rebound_after_the_first_call_is_the_one_run(data_dir, capsys, monkeypatch):
+    path = str(data_dir / "r1.arr")
+    assert main(["faces", path]) == 0  # the parser is built and kept
+    calls = []
+    monkeypatch.setattr(cli, "cmd_faces", lambda args: calls.append(args.file) or 0)
+    assert main(["faces", path, "--json"]) == 0
+    assert calls == [path]
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # `verify ... --json | head -c 100`: the reader goes away mid-output
+    path = tmp_path / "cyclic6.arr"
+    path.write_text("dim 2\n" + "".join(f"{t} 1 {t * t}\n" for t in range(1, 7)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "varchenko.cli", "verify", str(path),
+         "--checks", "beta,factorization", "--all-apartments", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100  # the report is far longer than a pipe holds
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""
