@@ -2,9 +2,8 @@
 
 An apartment is stored combinatorially as (subset of hyperplane indices,
 sign per subset member), and as the mask `half` of its open half-spaces in
-the bit layout of `Face.half`. The chambers of a sub-arrangement are exactly
-the distinct restrictions of the full arrangement's chambers, so
-enumeration needs no additional LP work once the face complex exists.
+the bit layout of `Face.half`. It carries the ids of the faces inside it,
+found in one pass over the face complex per subset, with no LP work.
 """
 
 from __future__ import annotations
@@ -14,14 +13,17 @@ from .geometry import MINUS, PLUS
 
 
 class Apartment:
-    """A chamber of the sub-arrangement on `subset`."""
+    """A chamber of the sub-arrangement on `subset`, with the ids of its faces
+    in id order: `chamber_ids`, and `face_ids` of the non-chamber faces."""
 
-    __slots__ = ("subset", "base_signs", "half")
+    __slots__ = ("subset", "base_signs", "half", "chamber_ids", "face_ids")
 
-    def __init__(self, subset, base_signs):
+    def __init__(self, subset, base_signs, chamber_ids, face_ids):
         self.subset = tuple(subset)
         self.base_signs = tuple(base_signs)
         self.half = half_mask(zip(self.subset, self.base_signs))
+        self.chamber_ids = tuple(chamber_ids)
+        self.face_ids = tuple(face_ids)
 
     def matches(self, face: Face) -> bool:
         """Whether the face lies inside this apartment."""
@@ -43,9 +45,10 @@ class Apartment:
 def enumerate_apartments(complex_: FaceComplex, subset):
     """All apartments of the given hyperplane subset, in deterministic order.
 
-    Every chamber of the sub-arrangement contains a chamber of the full
-    arrangement, so the restrictions of the full chambers cover them all.
-    The empty subset yields the single apartment R^n.
+    One pass groups the faces off the subset's hyperplanes by their `half`
+    on the subset. Such a face lies in an open chamber of the sub-arrangement,
+    as do the full chambers around it, so each group is one apartment and
+    holds a chamber. The empty subset yields the single apartment R^n.
     """
     subset = tuple(sorted(subset))
     m = complex_.arrangement.size
@@ -55,11 +58,17 @@ def enumerate_apartments(complex_: FaceComplex, subset):
     if len(set(subset)) != len(subset):
         raise ValueError("subset contains repeated indices")
 
-    restricted = {
-        tuple(MINUS if c.half >> 2 * h & 2 else PLUS for h in subset)
-        for c in complex_.chambers()
-    }
-    return [Apartment(subset, signs) for signs in sorted(restricted, key=sign_key)]
+    both = sum(3 << 2 * h for h in subset)
+    groups: dict = {}  # mask on the subset -> (chamber ids, non-chamber ids)
+    for f in complex_.faces:
+        if not f.zero & both:
+            chambers, others = groups.setdefault(f.half & both, ([], []))
+            (others if f.zero else chambers).append(f.id)
+    apartments = [
+        Apartment(subset, [MINUS if half >> 2 * h & 2 else PLUS for h in subset], *ids)
+        for half, ids in groups.items()
+    ]
+    return sorted(apartments, key=lambda a: sign_key(a.base_signs))
 
 
 def find_apartment(complex_: FaceComplex, subset, base_signs):
@@ -72,10 +81,10 @@ def find_apartment(complex_: FaceComplex, subset, base_signs):
 
 
 def faces_in(complex_: FaceComplex, apartment: Apartment):
-    """Faces of the full arrangement contained in the apartment."""
-    return [f for f in complex_.faces if not apartment.half & ~f.half]
+    """Faces of the full arrangement contained in the apartment, in id order."""
+    return [complex_.faces[i] for i in sorted(apartment.chamber_ids + apartment.face_ids)]
 
 
 def chambers_in(complex_: FaceComplex, apartment: Apartment):
     """Chambers inside the apartment, in face-id order."""
-    return [f for f in complex_.chambers() if not apartment.half & ~f.half]
+    return [complex_.faces[i] for i in apartment.chamber_ids]

@@ -583,22 +583,12 @@ def product_formula(complex_: FaceComplex, non_chamber_faces, betas) -> Factored
 
 
 def resolve_apartment(complex_: FaceComplex, apartment):
-    """(description, (chamber ids, non-chamber face ids)) of an apartment,
-    None standing for the full arrangement; the ids are memoized by `half`
-    mask, 0 for the full arrangement as for the empty subset."""
-    where = "full arrangement" if apartment is None else apartment.describe()
-    return where, _apartment_faces(complex_, 0 if apartment is None else apartment.half)
-
-
-@memoized
-def _apartment_faces(complex_: FaceComplex, half: int):
-    """(chamber ids, non-chamber face ids) of the faces inside the mask
-    `half`, in id order, found in one scan."""
-    chambers, others = [], []
-    for f in complex_.faces:
-        if not half & ~f.half:
-            (others if f.zero else chambers).append(f.id)
-    return tuple(chambers), tuple(others)
+    """(description, (chamber ids, non-chamber face ids)) of an apartment;
+    None, the full arrangement, has the ids of the empty subset."""
+    if apartment is None:
+        others = tuple(f.id for f in complex_.faces if f.zero)
+        return "full arrangement", (complex_.chamber_ids, others)
+    return apartment.describe(), (apartment.chamber_ids, apartment.face_ids)
 
 
 @memoized

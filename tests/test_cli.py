@@ -399,6 +399,9 @@ def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
             ["detfile", "two_pairs_apartment.vmx", "--expected", "garbage"],
             "unparsed trailing text",
         ),
+        # an empty product is checked, not taken for no product at all
+        (["detfile", "two_pairs_apartment.vmx", "--expected", ""], "contains no factors"),
+        (["detfile", "two_pairs_apartment.vmx", "--expected", " "], "contains no factors"),
     ],
     ids=[
         "unreadable-arr",
@@ -408,6 +411,8 @@ def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
         "checks-empty",
         "checks-blank",
         "bad-expected",
+        "expected-empty",
+        "expected-blank",
     ],
 )
 def test_errors_outside_a_file_name_no_line(data_dir, capsys, argv, message):

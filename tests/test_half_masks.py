@@ -89,12 +89,18 @@ def test_mask_operations_match_sign_vector_oracles(arrangement):
         restricted = {tuple(c.signs[h] for h in subset) for c in chambers}
         assert {a.base_signs for a in apartments} == restricted
         for apartment in apartments:
+            inside_ids = []
             for f in faces:
                 inside = all(
                     f.signs[h] == s
                     for h, s in zip(apartment.subset, apartment.base_signs)
                 )
                 assert apartment.matches(f) == inside
+                if inside:
+                    inside_ids.append(f.id)
+            assert apartment.chamber_ids
+            assert apartment.chamber_ids == tuple(i for i in inside_ids if faces[i].is_chamber)
+            assert apartment.face_ids == tuple(i for i in inside_ids if not faces[i].is_chamber)
 
     for check, oracle in (
         (v_path_identity_check, v_path_violations),

@@ -28,7 +28,6 @@ MEMOIZED = (
     euler.euler_closure,
     euler.classify,
     varmatrix._chamber_trace,
-    varmatrix._apartment_faces,
     varmatrix.beta_details,
     varmatrix._factorization,
 )
@@ -74,6 +73,7 @@ def test_every_check_twice_computes_each_entry_once(name):
     complex_ = fresh(name)
     first = computations(lambda: run_every_check(complex_))
     assert set(first) == set(MEMOIZED)  # the checks reach every table
+    assert set(complex_._memo) == set(MEMOIZED)  # and there is no other table
     for fn in MEMOIZED:
         assert first[fn] == len(complex_._memo[fn]), fn.__name__
     assert computations(lambda: run_every_check(complex_)) == Counter()
