@@ -55,6 +55,6 @@ from .varmatrix import (
 )
 from .euler import classify, euler_closure, euler_closure_minus_panels
 from .witt import witt_lhs, witt_rhs, witt_sweep, witt2_check
-from .report import CheckResult, VerificationReport
+from .report import CheckResult
 
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 PASS = "pass"
 FAIL = "fail"
@@ -30,45 +31,12 @@ class CheckResult:
         }
 
 
-class VerificationReport:
-    """An ordered collection of check results with stable JSON output."""
-
-    def __init__(self, context=None):
-        self.context = dict(context or {})
-        self.entries: list[CheckResult] = []
-
-    def add(self, result: CheckResult) -> CheckResult:
-        merged = dict(self.context)
-        merged.update(result.context)
-        result.context = merged
-        self.entries.append(result)
-        return result
-
-    @property
-    def failures(self):
-        return [e for e in self.entries if e.status == FAIL]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "context": self.context,
-            "checks": [e.to_dict() for e in self.entries],
-        }
-
-    def summary_lines(self):
-        for e in self.entries:
-            yield f"[{e.status.upper():7}] {e.name}"
-
-
 def write_json(obj, out) -> None:
     """Write `obj` to `out` as `print(json.dumps(obj, indent=2, sort_keys=True))`
     would, in chunks as it goes. Takes dicts keyed by str or int, lists,
     tuples, str, int, bool and None, and raises TypeError on anything else,
-    so the bytes cannot differ from json.dumps."""
+    so the bytes cannot differ from json.dumps. A generator is written as
+    the list of what it yields, item by item as it yields them."""
     chunks = []
     put = chunks.append
 
@@ -79,10 +47,11 @@ def write_json(obj, out) -> None:
             put("null" if value is None else "true" if value else "false")
         elif isinstance(value, int):
             put(int.__repr__(value))
-        elif isinstance(value, (dict, list, tuple)):
+        elif isinstance(value, (dict, list, tuple, GeneratorType)):
             is_dict = isinstance(value, dict)
             put("{" if is_dict else "[")
             inner = pad + "  "
+            i = -1  # stays -1 when there is no item
             for i, item in enumerate(sorted(value) if is_dict else value):
                 put(",\n" + inner if i else "\n" + inner)
                 if is_dict:
@@ -95,7 +64,7 @@ def write_json(obj, out) -> None:
                 if len(chunks) > 4096:  # bound what a large report holds
                     out.write("".join(chunks))
                     chunks.clear()
-            put(("\n" + pad if value else "") + ("}" if is_dict else "]"))
+            put(("\n" + pad if i >= 0 else "") + ("}" if is_dict else "]"))
         else:
             raise TypeError(f"unsupported JSON value {value!r}")
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -395,6 +397,7 @@ def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
         (["verify", "r1.arr", "--checks", ","], "names no check"),
         (["verify", "r1.arr", "--checks", ""], "names no check"),
         (["verify", "r1.arr", "--checks", " , "], "names no check"),
+        (["verify", "r1.arr", "--checks", "tits,tits"], "repeats tits"),
         (
             ["detfile", "two_pairs_apartment.vmx", "--expected", "garbage"],
             "unparsed trailing text",
@@ -410,6 +413,7 @@ def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
         "checks-comma",
         "checks-empty",
         "checks-blank",
+        "checks-repeated",
         "bad-expected",
         "expected-empty",
         "expected-blank",
@@ -418,7 +422,8 @@ def test_detfile_rejects_matrix_that_no_chamber_set_realizes(tmp_path, capsys):
 def test_errors_outside_a_file_name_no_line(data_dir, capsys, argv, message):
     argv = [argv[0], str(data_dir / argv[1]), *argv[2:]]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # input is checked before anything is written
     assert err.startswith("error: ") and message in err
     assert "line 0" not in err
 
@@ -567,6 +572,26 @@ def test_command_rebound_after_the_first_call_is_the_one_run(data_dir, capsys, m
     monkeypatch.setattr(cli, "cmd_faces", lambda args: calls.append(args.file) or 0)
     assert main(["faces", path, "--json"]) == 0
     assert calls == [path]
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_verify_writes_results_while_the_sweep_runs(tmp_path, monkeypatch, flags):
+    # when the sweep's last record is made, stdout already holds earlier ones
+    path = tmp_path / "cyclic5.arr"
+    path.write_text("dim 2\n" + "".join(f"{t} 1 {t * t}\n" for t in range(1, 6)))
+    out = io.StringIO()
+    written_before = []
+    verify_factorization = cli.verify_factorization
+
+    def noting_what_is_written(*args, **kwargs):
+        written_before.append(out.tell())
+        return verify_factorization(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_factorization", noting_what_is_written)
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", str(path), "--checks", "beta,factorization",
+                     "--all-apartments", *flags]) == 0
+    assert written_before and written_before[-1] > 0
 
 
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):

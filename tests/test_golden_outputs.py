@@ -58,6 +58,7 @@ def commands():
     # not square-free)
     yield "varchenko r3.arr --mode symbolic"
     yield "varchenko two_pairs.arr"
+    yield "verify r3.arr --all"
     yield shlex.join(
         ["detfile", "two_pairs_apartment.vmx", "--expected", PAPER_PRODUCT]
     )

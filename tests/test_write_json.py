@@ -23,10 +23,27 @@ scalars = (
     | st.text()
     | st.sampled_from(TRICKY_TEXT)
 )
+
+
+class Streamed(list):
+    """A list that `streamed` hands to write_json as a generator."""
+
+
+def streamed(obj):
+    """`obj` with each Streamed list, at any depth, turned into a generator."""
+    if isinstance(obj, dict):
+        return {key: streamed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        items = [streamed(item) for item in obj]
+        return (item for item in items) if isinstance(obj, Streamed) else type(obj)(items)
+    return obj
+
+
 documents = st.recursive(
     scalars,
     lambda children: (
         st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(Streamed)
         | st.lists(children, max_size=5).map(tuple)
         | st.dictionaries(st.text() | st.sampled_from(TRICKY_TEXT), children, max_size=5)
         | st.dictionaries(st.integers(), children, max_size=5)
@@ -44,7 +61,15 @@ def written(obj) -> str:
 @settings(max_examples=300, deadline=None)
 @given(documents)
 def test_write_json_matches_json_dumps(obj):
-    assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # json.dumps renders a Streamed list as the list it is
+    assert written(streamed(obj)) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_generators_are_written_as_lists():
+    assert written(x for x in ()) == "[]\n"
+    assert written({"a": (x for x in ()), "b": (x for x in [1, [2]])}) == (
+        json.dumps({"a": [], "b": [1, [2]]}, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def test_int_keys_sort_as_numbers():
@@ -55,9 +80,10 @@ def test_int_keys_sort_as_numbers():
 
 @pytest.mark.parametrize(
     "obj",
-    [1.5, [0, 1.0], {1, 2}, {"a": {3}}, {True: 1}, {1.5: 0}, {None: 0}, b"x"],
+    [1.5, [0, 1.0], {1, 2}, {"a": {3}}, {True: 1}, {1.5: 0}, {None: 0}, b"x",
+     map(int, "12"), {"a": 1}.keys(), {"a": 1}.values(), {"a": 1}.items()],
     ids=["float", "nested float", "set", "nested set", "bool key", "float key",
-         "None key", "bytes"],
+         "None key", "bytes", "map", "dict keys", "dict values", "dict items"],
 )
 def test_values_json_would_render_otherwise_raise_type_error(obj):
     with pytest.raises(TypeError):
@@ -87,6 +113,7 @@ def test_cyclic7_sweep_is_the_json_dumps_rendering(tmp_path, monkeypatch):
     rendered = []
 
     def beside_json_dumps(obj, out):
+        obj = {**obj, "checks": list(obj["checks"])}  # streamed, so it can be read once
         rendered.append(json.dumps(obj, indent=2, sort_keys=True) + "\n")
         write_json(obj, out)
 
