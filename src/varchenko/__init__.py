@@ -53,7 +53,7 @@ from .varmatrix import (
     varchenko_matrix,
     verify_factorization,
 )
-from .euler import classify, euler_closure, euler_closure_minus_panels
+from .euler import classify, euler_closure
 from .witt import witt_lhs, witt_rhs, witt_sweep, witt2_check
 from .report import CheckResult
 

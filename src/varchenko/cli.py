@@ -75,13 +75,9 @@ def _default_seed() -> int:
         raise ValueError(f"VARCHENKO_SEED must be an integer, got {env!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process for each threshold its help names."""
-    return _parser(DEFAULT_SYMBOLIC_THRESHOLD)
-
-
 @cache
-def _parser(threshold: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="varchenko",
         description=(
@@ -108,8 +104,8 @@ def _parser(threshold: int) -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "symbolic", "modular"),
         default="auto",
-        help=f"auto picks symbolic up to {threshold} chambers, "
-        "modular beyond",
+        help=f"auto picks symbolic up to {DEFAULT_SYMBOLIC_THRESHOLD} "
+        "chambers, modular beyond",
     )
     _trial_args(p_var)
     p_var.add_argument("--json", action="store_true")
@@ -188,13 +184,17 @@ def _apartment_from_args(args, complex_):
         return None
     if args.subset is None or args.apartment_signs is None:
         raise ValueError("--subset and --apartment-signs must be given together")
+    # both lists drop empty entries alike, so '' is the empty subset
+    subset_tokens, sign_tokens = (
+        [tok.strip() for tok in text.split(",") if tok.strip()]
+        for text in (args.subset, args.apartment_signs)
+    )
     try:
-        subset = [int(tok) for tok in args.subset.split(",") if tok != ""]
+        subset = [int(tok) for tok in subset_tokens]
     except ValueError:
         raise ValueError(f"bad --subset {args.subset!r}") from None
     signs = []
-    for tok in args.apartment_signs.split(","):
-        tok = tok.strip()
+    for tok in sign_tokens:
         if tok not in ("+", "-"):
             raise ValueError(f"bad sign {tok!r} in --apartment-signs")
         signs.append(CHAR_SIGNS[tok])

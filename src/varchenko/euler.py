@@ -1,10 +1,12 @@
 """Combinatorial Euler characteristics of chamber closures and the chamber
 type classification (bounded / three kinds of unbounded frontier).
 
-Classification is exact for n <= 2 (boundedness plus frontier component
-counting). For n >= 3 it falls back to the Euler characteristic and stays
-conservative: a chamber whose characteristic matches no type, or more than
-one, is tagged `unknown` and downstream checks skip it.
+Classification is exact for n <= 2: boundedness, then the connected
+components of the chamber's panels glued along shared (n-2)-faces, read
+off the same panel masks that `lemma_chm` uses. For n >= 3 it falls back
+to the Euler characteristic and stays conservative: a chamber whose
+characteristic matches no type, or more than one, is tagged `unknown` and
+downstream checks skip it.
 """
 
 from __future__ import annotations
@@ -27,30 +29,6 @@ def euler_closure(complex_: FaceComplex, chamber: Face) -> int:
     return sum(-1 if f.dim % 2 else 1 for f in closure_faces(complex_, chamber))
 
 
-def _frontier_components(complex_: FaceComplex, chamber: Face):
-    """Connected components of the frontier, glued along comparability."""
-    frontier = [
-        f for f in closure_faces(complex_, chamber) if f.id != chamber.id
-    ]
-    parent = {f.id: f.id for f in frontier}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in frontier:
-        for g in frontier:
-            if f.id < g.id and (face_leq(f, g) or face_leq(g, f)):
-                parent[find(f.id)] = find(g.id)
-
-    groups: dict = {}
-    for f in frontier:
-        groups.setdefault(find(f.id), []).append(f)
-    return list(groups.values())
-
-
 @memoized
 def classify(complex_: FaceComplex, chamber: Face) -> str:
     """Chamber type tag: bounded, type1, type2, type3 or unknown."""
@@ -59,22 +37,19 @@ def classify(complex_: FaceComplex, chamber: Face) -> str:
     if complex_.face_is_bounded(chamber):
         return BOUNDED
     n = complex_.dimension
-    components = _frontier_components(complex_, chamber)
-    if not components:
+    if closure_faces(complex_, chamber) == (chamber,):
         return UNKNOWN  # frontier empty: the single chamber R^n
 
     if n <= 2:
-        if len(components) == 1:
-            return TYPE1
-        if len(components) == 2:
-            full_walls = all(
-                len(comp) == 1 and comp[0].dim == n - 1
-                for comp in components
-            )
-            # Two full walls are whole lines with no vertex on them, so they
-            # are parallel: crossing lines would split each other.
-            return TYPE3 if full_walls else TYPE2
-        return UNKNOWN
+        # Every frontier face lies below a panel, so the frontier's
+        # components are those of the panels glued along (n-2)-faces.
+        masks = _panel_masks(complex_, chamber)
+        components = masks.components()
+        if components == 2:
+            # Two panels with no (n-2)-face are whole lines, so they are
+            # parallel: crossing lines would split each other.
+            return TYPE2 if any(masks.adjacent) else TYPE3
+        return TYPE1 if components == 1 else UNKNOWN
 
     chi = euler_closure(complex_, chamber)
     if chi == 0:
@@ -86,32 +61,6 @@ def classify(complex_: FaceComplex, chamber: Face) -> str:
             return TYPE3
     # n even: type 2 and type 3 share chi = -1, so stay conservative.
     return UNKNOWN
-
-
-def euler_closure_minus_panels(complex_: FaceComplex, chamber: Face, panel_subset) -> int:
-    """Alternating cell count of the closed chamber minus closed panels.
-
-    The subset must be a nonempty proper subset of the chamber's panels;
-    when it has more than one member, every panel must share a
-    codimension-2 face with another member.
-    """
-    if not chamber.is_chamber:
-        raise ValueError(f"requires a chamber, got {chamber!r}")
-    subset = list(panel_subset)
-    masks = _PanelMasks(complex_, chamber)
-    position = {f.id: i for i, f in enumerate(masks.panels)}
-    if not subset:
-        raise ValueError("panel subset must be nonempty")
-    if any(f.id not in position for f in subset):
-        raise ValueError("subset contains a non-panel of the chamber")
-    mask = sum(1 << i for i in {position[f.id] for f in subset})
-    if mask == (1 << len(position)) - 1:
-        raise ValueError("subset must be a proper subset of the panels")
-    if len(subset) > 1 and not masks.adjacent_within(mask):
-        raise ValueError(
-            "each panel must share a codimension-2 face with another"
-        )
-    return masks.chi_minus(mask)
 
 
 class _PanelMasks:
@@ -157,6 +106,27 @@ class _PanelMasks:
         """Alternating count of the closure faces below no panel of mask."""
         return sum(count for below, count in self.chi.items() if not below & mask)
 
+    def components(self) -> int:
+        """Connected components of the panels under `adjacent`."""
+        count, unseen = 0, (1 << len(self.panels)) - 1
+        while unseen:
+            count += 1
+            reached = unseen & -unseen
+            while reached:
+                unseen &= ~reached
+                grown = 0
+                for i in range(len(self.panels)):
+                    if reached >> i & 1:
+                        grown |= self.adjacent[i]
+                reached = grown & unseen
+        return count
+
+
+@memoized
+def _panel_masks(complex_: FaceComplex, chamber: Face) -> _PanelMasks:
+    """The chamber's `_PanelMasks`, read once per complex."""
+    return _PanelMasks(complex_, chamber)
+
 
 _CHI_TABLE = {BOUNDED: lambda n: 1, TYPE1: lambda n: 0, TYPE2: lambda n: -1,
               TYPE3: lambda n: -1 if (n - 1) % 2 else 1}
@@ -193,7 +163,7 @@ def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
 
     The panel subsets of a chamber are the bitmasks over its panels in id
     order, taken in increasing order; each is read off the chamber's
-    `_PanelMasks` with a few int operations.
+    memoized `_panel_masks` with a few int operations.
     """
     failures = []
     skipped = []
@@ -203,7 +173,7 @@ def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
         if tag == UNKNOWN:
             skipped.append(chamber.id)
             continue
-        masks = _PanelMasks(complex_, chamber)
+        masks = _panel_masks(complex_, chamber)
         unbounded = sum(
             1 << i
             for i, f in enumerate(masks.panels)

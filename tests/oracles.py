@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from varchenko.apartments import enumerate_apartments
-from varchenko.geometry import MINUS, PLUS, ZERO, feasible_interior
+from varchenko.geometry import MINUS, PLUS, ZERO, feasible_interior, is_bounded
 from varchenko.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from varchenko import polyring
 from varchenko.polyring import VarId, format_terms, var_of_index
@@ -519,6 +519,50 @@ def lemma_chm_details(complex_):
     if failures:
         details["failures"] = failures
     return details
+
+
+# -- plane chamber types by scanning faces ------------------------------------
+
+
+def plane_chamber_type_scan(complex_, chamber) -> str:
+    """Reference for `varchenko.euler.classify` in R^1 and R^2.
+
+    Boundedness comes from the recession-cone LP of `geometry.is_bounded`.
+    The frontier, the faces below the chamber other than itself, is split
+    into components by a search that joins two faces whenever one sign
+    vector lies below the other. One component is type 1; two are type 3
+    when each is a single face of dimension n - 1 (a whole wall, with the
+    dimension read from the rank of the normals through it), else type 2.
+    """
+    arrangement = complex_.arrangement
+    n = arrangement.dimension
+    frontier = [f.signs for f in _below(complex_, chamber) if f.signs != chamber.signs]
+    if not frontier:
+        return "unknown"  # the single chamber R^n
+    if is_bounded(list(zip(arrangement.hyperplanes, chamber.signs))):
+        return "bounded"
+    components = []
+    unseen = set(frontier)
+    while unseen:
+        stack = [unseen.pop()]
+        component = []
+        while stack:
+            signs = stack.pop()
+            component.append(signs)
+            joined = {g for g in unseen if leq_signs(g, signs) or leq_signs(signs, g)}
+            unseen -= joined
+            stack.extend(joined)
+        components.append(component)
+    if len(components) == 1:
+        return "type1"
+    if len(components) == 2:
+        def dim(signs):
+            normals = [h.normal for h, s in zip(arrangement.hyperplanes, signs) if s == ZERO]
+            return n - _rank(normals)
+
+        walls = all(len(c) == 1 and dim(c[0]) == n - 1 for c in components)
+        return "type3" if walls else "type2"
+    return "unknown"
 
 
 # -- face counts from the intersection poset ----------------------------------

@@ -120,6 +120,36 @@ def test_varchenko_subset_flag_validation(data_dir, capsys):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "subset, signs, label",
+    [("", "", "R^n (empty subset)"), ("0,", "+,", "H1^+"), (" 0 , ", " + , ", "H1^+")],
+    ids=["empty subset", "trailing comma", "spaces"],
+)
+def test_subset_and_signs_drop_the_same_empty_entries(data_dir, capsys, subset, signs, label):
+    # the two aligned lists are split alike, so '' selects the empty subset
+    path = str(data_dir / "crossing.arr")
+    argv = ["varchenko", path, "--json", "--subset", subset, "--apartment-signs", signs]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["apartment"] == label
+    plain = ["--subset", "0", "--apartment-signs", "+"] if subset.strip() else []
+    assert main(["varchenko", path, "--json", *plain]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    assert {**payload, "apartment": None} == {**expected, "apartment": None}
+
+
+@pytest.mark.parametrize(
+    "subset, signs",
+    [("0", ""), ("", "+"), ("0,,1", "+,x"), ("0,1", "+"), ("a", "+")],
+)
+def test_mismatched_subset_and_signs_exit_2(data_dir, capsys, subset, signs):
+    argv = ["varchenko", str(data_dir / "crossing.arr"), "--subset", subset, "--apartment-signs", signs]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_varchenko_negative_subset_index_exits_2(data_dir, capsys):
     argv = ["varchenko", str(data_dir / "r1.arr"), "--subset", "-1", "--apartment-signs", "+"]
     assert main(argv) == 2
@@ -527,8 +557,10 @@ def test_pulled_out_counts_hold_only_the_hyperplanes_that_occur(tmp_path, capsys
 def test_mode_help_names_the_symbolic_threshold(monkeypatch, capsys):
     # the help is built from the threshold, so it follows a change to it
     monkeypatch.setattr(cli, "DEFAULT_SYMBOLIC_THRESHOLD", 17)
+    cli.build_parser.cache_clear()  # as in a fresh process
     with pytest.raises(SystemExit):
         build_parser().parse_args(["varchenko", "--help"])
+    cli.build_parser.cache_clear()  # later tests build it with the real threshold
     assert "auto picks symbolic up to 17 chambers" in " ".join(
         capsys.readouterr().out.split()
     )
@@ -557,10 +589,10 @@ def test_reused_parser_keeps_no_state_between_calls(
     first, second = ([argv[0], str(data_dir / argv[1]), *argv[2:]] for argv in (first, second))
     separate = []
     for argv in (first, second):
-        cli._parser.cache_clear()  # as in a fresh process
+        cli.build_parser.cache_clear()  # as in a fresh process
         separate.append(_run(argv, capsys))
     assert separate[0] != separate[1]
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     assert [_run(first, capsys), _run(second, capsys)] == separate
     assert build_parser() is build_parser()
 

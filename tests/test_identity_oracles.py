@@ -7,7 +7,7 @@ import json
 import pytest
 
 from varchenko.cli import main
-from varchenko.euler import euler_closure_minus_panels, lemma_ch_check, lemma_chm_check
+from varchenko.euler import _panel_masks, lemma_ch_check, lemma_chm_check
 from varchenko.faces import enumerate_faces, panels
 from varchenko.files import bundled_text
 from varchenko.geometry import Arrangement
@@ -114,19 +114,15 @@ def test_minus_panels_matches_the_face_scan(complexes):
     for name in ("generic3", "two_pairs", "r3"):
         complex_ = complexes[name]
         for chamber in complex_.chambers():
+            masks = _panel_masks(complex_, chamber)
+            bit = {f.id: 1 << i for i, f in enumerate(masks.panels)}
             for subset in admissible_panel_subsets_scan(complex_, chamber):
-                assert euler_closure_minus_panels(
-                    complex_, chamber, subset
-                ) == euler_minus_panels_scan(complex_, chamber, subset)
-            # A pair of panels is admissible exactly when the two share a
-            # codimension-2 face (and do not make up all the panels).
+                mask = sum(bit[f.id] for f in subset)
+                assert masks.chi_minus(mask) == euler_minus_panels_scan(complex_, chamber, subset)
+            # Two panels are adjacent exactly when they share a
+            # codimension-2 face.
             walls = panels(complex_, chamber)
             for i, f in enumerate(walls):
                 for g in walls[i + 1 :]:
-                    if len(walls) == 2:
-                        continue
-                    if share_codim2_scan(complex_, f, g):
-                        euler_closure_minus_panels(complex_, chamber, [f, g])
-                    else:
-                        with pytest.raises(ValueError, match="codimension-2"):
-                            euler_closure_minus_panels(complex_, chamber, [f, g])
+                    pair = bit[f.id] | bit[g.id]
+                    assert masks.adjacent_within(pair) == share_codim2_scan(complex_, f, g)

@@ -27,6 +27,7 @@ MEMOIZED = (
     witt.witt_vectors,
     euler.euler_closure,
     euler.classify,
+    euler._panel_masks,
     varmatrix._chamber_trace,
     varmatrix.beta_details,
     varmatrix._factorization,
@@ -123,7 +124,7 @@ def test_a_raising_computation_stores_nothing():
     assert len(attempts) == 2
 
     vertex = next(f for f in complex_.faces if not f.is_chamber)
-    for fn in (euler.classify, euler.euler_closure):
+    for fn in (euler.classify, euler.euler_closure, euler._panel_masks):
         with pytest.raises(ValueError, match="requires a chamber"):
             fn(complex_, vertex)
         assert (vertex,) not in complex_._memo[fn]
