@@ -48,7 +48,7 @@ def classify(complex_: FaceComplex, chamber: Face) -> str:
         if components == 2:
             # Two panels with no (n-2)-face are whole lines, so they are
             # parallel: crossing lines would split each other.
-            return TYPE2 if any(masks.adjacent) else TYPE3
+            return TYPE3
         return TYPE1 if components == 1 else UNKNOWN
 
     chi = euler_closure(complex_, chamber)

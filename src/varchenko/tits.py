@@ -5,6 +5,11 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .faces import Face, FaceComplex, closure_faces, face_leq, memoized
+from .report import FAIL, PASS, CheckResult
+
+# Up to this many faces every face id fits in one byte, and associativity
+# composes the product table as bytes.
+_BYTE_FACES = 256
 
 
 class ComplexInvariantError(RuntimeError):
@@ -88,16 +93,15 @@ def tits_semigroup_check(complex_: FaceComplex):
     idempotence, and the order/product compatibility F <= G iff FG = G.
 
     Every law is read off the complex's product table, whose row for F
-    holds the id of FG for every G. For each pair (E, F), the row of
-    (EF)G over all G is the table row of EF, and the row of E(FG) is the
-    row of E read at the entries of the row of F, one `itemgetter` per F.
-    The two rows are compared whole, and only a mismatch is walked entry
-    by entry to list the violating G. `triples` counts the
-    entries compared. Order compatibility takes the order from
-    `face_leq`, never from the table.
+    holds the id of FG for every G. For each E, the block of (EF)G over all
+    (F, G) is the rows of EF joined, and the block of E(FG) is the whole
+    table read through the row of E. Up to `_BYTE_FACES` faces the rows are
+    bytes: one `join` and one `translate` per E. Above it, one `itemgetter`
+    per F reads the row of E at the entries of the row of F. Blocks are
+    compared whole, and only a mismatch is walked entry by entry to list
+    the violating (F, G). `triples` counts the entries compared. Order
+    compatibility takes the order from `face_leq`, never from the table.
     """
-    from .report import FAIL, PASS, CheckResult
-
     faces = complex_.faces
     table = [_product_row(complex_, f) for f in faces]
     violations = []
@@ -110,26 +114,33 @@ def tits_semigroup_check(complex_: FaceComplex):
                 violations.append(
                     {"kind": "order_compatibility", "F": f.id, "G": g.id}
                 )
-    through = [_reader(row) for row in table]
-    for e, row_e in enumerate(table):
-        for f, (ef, read) in enumerate(zip(row_e, through)):
-            left, right = table[ef], read(row_e)
-            if left != right:
-                violations.extend(
-                    {"kind": "associativity", "E": e, "F": f, "G": g}
-                    for g, (lg, rg) in enumerate(zip(left, right))
-                    if lg != rg
-                )
+    violations.extend(_associativity_violations(table))
     details = {"faces": len(faces), "triples": len(faces) ** 3}
     if violations:
         details["violations"] = violations
     return CheckResult("tits_semigroup", FAIL if violations else PASS, {}, details)
 
 
-def _reader(row):
-    """A function taking a row to the tuple of its entries at the ids in
-    row: `itemgetter`, except that one id still gives a tuple."""
-    if len(row) == 1:
-        (only,) = row
-        return lambda other: (other[only],)
-    return itemgetter(*row)
+def _associativity_violations(table):
+    """The triples (E, F, G) with (EF)G != E(FG), in that order."""
+    n = len(table)
+    if n <= _BYTE_FACES:
+        rows = [bytes(row) for row in table]
+        flat, pad = b"".join(rows), bytes(256 - n)
+        for e, row_e in enumerate(rows):
+            left = b"".join(map(rows.__getitem__, row_e))
+            right = flat.translate(row_e + pad)
+            if left != right:
+                for i, (lg, rg) in enumerate(zip(left, right)):
+                    if lg != rg:
+                        f, g = divmod(i, n)
+                        yield {"kind": "associativity", "E": e, "F": f, "G": g}
+        return
+    through = [itemgetter(*row) for row in table]
+    for e, row_e in enumerate(table):
+        for f, (ef, read) in enumerate(zip(row_e, through)):
+            left, right = table[ef], read(row_e)
+            if left != right:
+                for g, (lg, rg) in enumerate(zip(left, right)):
+                    if lg != rg:
+                        yield {"kind": "associativity", "E": e, "F": f, "G": g}

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from varchenko.faces import Face, FaceComplex, closure_faces, enumerate_faces, face_leq
 from varchenko.files import bundled_text, parse_arrangement
+from varchenko import tits
 from varchenko.geometry import MINUS, PLUS, ZERO, side_of
 from varchenko.tits import (
     ComplexInvariantError,
@@ -18,6 +19,7 @@ from varchenko.tits import (
     tits_semigroup_check,
 )
 from oracles import compose_signs, sign_product, tits_semigroup_violations
+from test_apartment_memo import cyclic
 from test_faces import _arrangements
 
 
@@ -98,7 +100,14 @@ def corrupted_generic3():
     return complex_, corrupted
 
 
-def test_semigroup_check_reports_a_corrupted_table_entry():
+# The limit on faces for composing the table as bytes; 0 forces the
+# itemgetter route on every complex.
+ROUTES = {"bytes": tits._BYTE_FACES, "itemgetter": 0}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_semigroup_check_reports_a_corrupted_table_entry(route, monkeypatch):
+    monkeypatch.setattr(tits, "_BYTE_FACES", ROUTES[route])
     complex_, corrupted = corrupted_generic3()
     expected = tits_semigroup_violations(complex_, corrupted)
     kinds = {v["kind"] for v in expected["violations"]}
@@ -106,6 +115,17 @@ def test_semigroup_check_reports_a_corrupted_table_entry():
     result = tits_semigroup_check(complex_)
     assert result.status == "fail"
     assert result.details == _oracle_details(expected)
+
+
+@pytest.mark.parametrize("m, route", [(11, "bytes"), (12, "itemgetter")])
+def test_semigroup_check_passes_on_either_side_of_the_byte_limit(m, route):
+    # cyclic 11 has 243 faces and cyclic 12 has 289, around the 256 a byte holds
+    complex_ = enumerate_faces(parse_arrangement(cyclic(m)))
+    faces = len(complex_.faces)
+    assert (faces <= tits._BYTE_FACES) == (route == "bytes")
+    result = tits_semigroup_check(complex_)
+    assert result.status == "pass"
+    assert result.details == {"faces": faces, "triples": faces**3}
 
 
 def test_missing_product_face_raises_complex_invariant_error(generic3):
