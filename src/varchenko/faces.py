@@ -20,8 +20,8 @@ extensions. Which faces the new hyperplane H meets, and where, comes from the
 faces of the earlier hyperplanes restricted to H, an arrangement of one
 dimension less enumerated by the same recursion: a face meets H in exactly
 one face of the restriction (Zaslavsky, *Facing up to arrangements*, 1975).
-Boundedness is read off the faces of the recession arrangement of the
-normals. Neither step solves an LP, and neither uses Fractions: the
+Boundedness is read off the complex's own edges, by the vertices in their
+closures. Neither step solves an LP, and neither uses Fractions: the
 recursion runs on the primitive integer form of each hyperplane
 (`Hyperplane.integer`) and on points in homogeneous integer coordinates,
 with common factors divided out as it goes, in the integer-preserving spirit
@@ -144,14 +144,16 @@ class FaceComplex:
         return self.by_half.get(half_mask(enumerate(signs)))
 
     def face_is_bounded(self, face: Face) -> bool:
-        """Whether the face is bounded, that is its recession cone
-        {d : sign(a_h.d) is 0 or the face's sign on H_h} is {0}.
+        """Whether the face is bounded: the complex has a vertex, and no
+        edge below the face has fewer than two vertices in its closure.
 
-        A nonzero d of that cone lies in a face G of the recession
-        arrangement with G.half a subset of face.half, and then so does a
-        minimal nonzero one, whose masks are computed once per complex.
+        With a vertex the normals span R^n, so the closure of an unbounded
+        face is a pointed polyhedron and holds an extreme ray: an edge with
+        at most one vertex. A bounded face has only bounded faces below it.
+        Without a vertex the normals do not span R^n, and a direction normal
+        to all of them moves every face within itself: none is bounded.
         """
-        return all(mask & ~face.half for mask in _recession_masks(self))
+        return self.min_dim == 0 and all(e & ~face.half for e in _unbounded_edges(self))
 
     def __repr__(self):
         return (
@@ -231,7 +233,7 @@ def _face_pieces(n, hyperplanes):
             (signs + (sign,), point, piece_dim)
             for signs, witness, dim in partial
             for sign, point, piece_dim in _split(
-                list(zip(prefix, signs)), witness, dim, hyper, meets.get(signs)
+                zip(prefix, signs), witness, dim, hyper, meets.get(signs)
             )
         ]
     return partial
@@ -261,7 +263,8 @@ def _restriction(prefix, hyper):
         if not any(normal):
             places.append((None, PLUS if offset < 0 else MINUS))
             continue
-        places.append(_merge((normal, offset), merged))
+        key, orientation = canonical(normal, offset)
+        places.append((merged.setdefault(key, len(merged)), orientation))
     meets = {}
     for signs, point, dim in _face_pieces(len(others), list(merged)):
         lifted = [scale * x for x in point]
@@ -271,23 +274,18 @@ def _restriction(prefix, hyper):
     return meets
 
 
-def _merge(hyper, merged):
-    """(index, orientation) of the integer hyperplane among the distinct
-    ones, the keys of merged in `geometry.canonical` form, added when new."""
-    key, orientation = canonical(*hyper)
-    return merged.setdefault(key, len(merged)), orientation
-
-
 def _split(constraints, witness, dim, hyper, meet):
     """(sign on hyper, witness, dim) of each nonempty piece of the face
     `constraints` cut by hyper; meet is (point, dim) of the face's
-    intersection with hyper, or None when they are disjoint. Hyperplanes
+    intersection with hyper, or None when they are disjoint, and only then
+    are the face's (hyperplane, sign) pairs left unread. Hyperplanes
     and points are in integer form; a direction is an integer tuple with
     last entry 0 and a positive scale s, standing for the vector
     direction/s."""
     side = _side(hyper, witness)
     if meet is None:
         return ((side, witness, dim),)
+    constraints = list(constraints)
     point, meet_dim = meet
     if side != ZERO:
         # z - w = (d_w*x_z - d_z*x_w) / (d_z*d_w)
@@ -326,22 +324,12 @@ def _step(constraints, point, direction, scale):
 
 
 @memoized
-def _recession_masks(complex_):
-    """Masks of the minimal nonzero faces of the recession arrangement, the
-    central arrangement {a_h.d = 0} of the distinct normals: its rays, or,
-    when the normals do not span R^n, their common null space, whose mask 0
-    makes every face unbounded. Parallel hyperplanes share one central
-    hyperplane, each with its orientation relative to it."""
-    arrangement = complex_.arrangement
-    merged = {}  # distinct central hyperplane -> its index
-    places = [_merge((h.integer[0], 0), merged) for h in arrangement.hyperplanes]
-    faces = _face_pieces(arrangement.dimension, list(merged))
-    lowest = max(1, min(dim for _, _, dim in faces))
-    return tuple(
-        half_mask((h, s * signs[i]) for h, (i, s) in enumerate(places))
-        for signs, _, dim in faces
-        if dim == lowest
-    )
+def _unbounded_edges(complex_):
+    """Masks of the edges with fewer than two vertices in their closure:
+    the rays, and the whole lines when there is no vertex."""
+    vertices = [f.half for f in complex_.faces if f.dim == 0]
+    edges = [f.half for f in complex_.faces if f.dim == 1]
+    return tuple(e for e in edges if sum(not v & ~e for v in vertices) < 2)
 
 
 def brute_force_sign_vectors(arrangement):

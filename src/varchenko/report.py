@@ -12,6 +12,11 @@ SKIPPED = "skipped"
 
 SCHEMA_VERSION = 1
 
+# Renderers by exact type: an item of one renders inline, and any other
+# value, a subclass too, takes the isinstance path of `write_json`.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda value: "true" if value else "false"}
+
 
 @dataclass
 class CheckResult:
@@ -51,20 +56,27 @@ def write_json(obj, out) -> None:
             is_dict = isinstance(value, dict)
             put("{" if is_dict else "[")
             inner = pad + "  "
-            i = -1  # stays -1 when there is no item
-            for i, item in enumerate(sorted(value) if is_dict else value):
-                put(",\n" + inner if i else "\n" + inner)
+            sep, rest = "\n" + inner, ",\n" + inner  # sep is rest after an item
+            for item in sorted(value) if is_dict else value:
+                put(sep)
+                sep = rest
                 if is_dict:
-                    if isinstance(item, bool) or not isinstance(item, (str, int)):
-                        raise TypeError(f"unsupported JSON key {item!r}")
-                    key = item if isinstance(item, str) else int.__repr__(item)
+                    key = item
+                    if type(key) is not str:  # an exact str needs no check
+                        if isinstance(key, bool) or not isinstance(key, (str, int)):
+                            raise TypeError(f"unsupported JSON key {key!r}")
+                        key = key if isinstance(key, str) else int.__repr__(key)
                     put(encode_basestring_ascii(key) + ": ")
                     item = value[item]
-                emit(item, inner)
+                render = _SCALARS.get(type(item))
+                if render is None:
+                    emit(item, inner)
+                else:
+                    put(render(item))
                 if len(chunks) > 4096:  # bound what a large report holds
                     out.write("".join(chunks))
                     chunks.clear()
-            put(("\n" + pad if i >= 0 else "") + ("}" if is_dict else "]"))
+            put(("\n" + pad if sep is rest else "") + ("}" if is_dict else "]"))
         else:
             raise TypeError(f"unsupported JSON value {value!r}")
 

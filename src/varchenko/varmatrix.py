@@ -33,8 +33,8 @@ from .polyring import (
     set_bits,
 )
 from .report import FAIL, PASS, CheckResult
-from .tits import _product_row, opposite_through
-from .witt import witt_vectors
+from .tits import _product_row, chamber_products, opposite_through
+from .witt import witt_sums
 
 DEFAULT_PRIME = 2**61 - 1
 DEFAULT_SYMBOLIC_THRESHOLD = 12
@@ -772,26 +772,21 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
     otherwise, so the coordinates at C are the Witt vectors scaled by
     distances: witt_lhs times v(D, C), and witt_rhs times
     v(D, D~_A) v(D~_A, C), the OR of two masks by the rule in `v`'s
-    docstring. Both are compared as {C: (coefficient, mask)} over the
-    nonzero coefficients of the pair's `witt.witt_vectors`, as `witt_sweep` reads them.
+    docstring. The sides agree when the packed `witt.witt_sums` of the pair
+    do and so do the masks at each C with AC = D~_A, the support of witt_rhs.
     """
     chambers = complex_.chambers()
     violations = []
     checked = 0
     for d in chambers:
-        for a in closure_faces(complex_, d):
+        for a, (lhs, rhs) in witt_sums(complex_, d)[2].items():
             checked += 1
-            witt_left, witt_right = witt_vectors(complex_, a, d)
-            lhs = {
-                i: (k, d.half & ~chambers[i].half) for i, k in witt_left.items()
-            }
             d_opp = opposite_through(complex_, a, d)
             scale = d.half & ~d_opp.half
-            rhs = {
-                i: (k, scale | (d_opp.half & ~chambers[i].half))
-                for i, k in witt_right.items()
-            }
-            if lhs != rhs:
+            if lhs != rhs or any(
+                d.half & ~chambers[i].half != scale | (d_opp.half & ~chambers[i].half)
+                for i in chamber_products(complex_, a).get(d_opp.id, ())
+            ):
                 violations.append({"A": a.id, "D": d.id})
     details = {"checked": checked}
     if violations:

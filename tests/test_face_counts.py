@@ -51,8 +51,8 @@ DRAWS = {
     "random-r3-m8-small": (3, 8, 1),
 }
 FAMILIES = {f"family-r{n}-m{m}": (n, m) for n, m in ((2, 10), (3, 8), (4, 6))}
-# normals of rank at most n - 2, where no face is bounded and the recession
-# arrangement has no rays
+# normals of rank at most n - 2, where the complex has no vertex, so no face
+# is bounded
 LOW_RANK = {
     "empty-r2": (2, []),
     "parallel-planes-r3": (3, [((0, 0, 1), 0), ((0, 0, 2), 1), ((0, 0, -1), 3)]),

@@ -424,6 +424,37 @@ def test_face_complex_solves_no_lp_sampled(arrangement):
     assert calls == []
 
 
+# Rows a_1 .. a_n b of the hyperplanes a.x = b. The normals have rank n,
+# n - 1 or n - 2, and below rank n no face is bounded.
+BOUNDED_TEXTS = {
+    "points-r1": "dim 1\n1 0\n2 1\n-1 3\n",
+    "pencil-r2": "dim 2\n1 0 0\n0 1 0\n1 1 0\n1 -1 0\n",
+    "pencil-r3": "dim 3\n1 0 0 0\n0 1 0 0\n1 1 0 0\n",
+    "pencil-cut-r3": "dim 3\n1 0 0 0\n0 1 0 0\n1 1 0 0\n0 0 1 1\n",
+    "rank2-r3": "dim 3\n1 0 0 0\n0 1 0 1\n1 1 0 3\n1 0 0 2\n",
+    "rank1-r3": "dim 3\n0 0 1 0\n0 0 2 1\n0 0 -1 3\n",
+    "rank3-r4": "dim 4\n1 0 0 0 0\n0 1 0 0 1\n0 0 1 0 2\n1 1 1 0 1\n",
+    "rank2-r4": "dim 4\n1 0 0 0 0\n0 1 0 0 1\n1 1 0 0 3\n",
+    "general-r4": "dim 4\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n0 0 0 1 0\n1 1 1 1 2\n",
+    **DEGENERATE,
+}
+BOUNDED_CASES = {name: parse_arrangement(text) for name, text in BOUNDED_TEXTS.items()}
+for n, m in [(1, 3), (2, 5), (3, 4), (4, 5)]:
+    for seed in range(3):
+        BOUNDED_CASES[f"random-r{n}-m{m}-{seed}"] = random_arrangement(
+            f"bounded:{seed}", n=n, m=m, coeff_bound=2
+        )
+
+
+@pytest.mark.parametrize("name", BOUNDED_CASES)
+def test_face_is_bounded_matches_the_lp_oracle(name):
+    arrangement = BOUNDED_CASES[name]
+    complex_ = enumerate_faces(arrangement)
+    for f in complex_.faces:
+        expected = is_bounded(list(zip(arrangement.hyperplanes, f.signs)))
+        assert complex_.face_is_bounded(f) == expected, f
+
+
 @contextlib.contextmanager
 def counted_fractions():
     """Records every Fraction built: through its constructor, and through

@@ -21,10 +21,10 @@ SOURCES = Path(faces.__file__).parent
 
 MEMOIZED = (
     faces.closure_faces,
-    faces._recession_masks,
+    faces._unbounded_edges,
     tits._product_row,
     tits.chamber_products,
-    witt.witt_vectors,
+    witt.witt_sums,
     euler.euler_closure,
     euler.classify,
     euler._panel_masks,

@@ -1,8 +1,10 @@
+from hypothesis import given, settings, strategies as st
+
 from varchenko.euler import classify
 from varchenko.faces import closure_faces
 from varchenko.geometry import MINUS, PLUS, ZERO
 from varchenko.tits import rank
-from varchenko.witt import witt2_check, witt_lhs, witt_rhs, witt_sweep
+from varchenko.witt import unpack, witt2_check, witt_lhs, witt_rhs, witt_sums, witt_sweep
 from oracles import witt_pair_failures
 from test_tits import corrupted_generic3
 
@@ -79,3 +81,20 @@ def test_witt_sweep_reports_a_corrupted_table_entry():
     result = witt_sweep(complex_)
     assert result.status == "fail"
     assert result.details["pair_failures"] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_fields_round_trip(complexes, data):
+    # Every coefficient a Witt sum can hold, up to len(closure D) in size,
+    # packs at the width `witt_sums` chose for D and unpacks unchanged.
+    complex_ = complexes[data.draw(st.sampled_from(sorted(complexes)))]
+    d = data.draw(st.sampled_from(complex_.chambers()))
+    bound = len(closure_faces(complex_, d))
+    width = witt_sums(complex_, d)[0]
+    count = len(complex_.chamber_ids)
+    extreme = st.sampled_from([bound, -bound, 0])
+    coefficient = st.one_of(extreme, st.integers(-bound, bound))
+    vector = data.draw(st.lists(coefficient, min_size=count, max_size=count))
+    packed = sum(k << width * i for i, k in enumerate(vector))
+    assert unpack(packed, width, count) == vector
