@@ -7,15 +7,11 @@ from .geometry import (
     ZERO,
     Arrangement,
     Hyperplane,
-    affine_rank,
-    feasible_interior,
-    is_bounded,
     side_of,
 )
 from .faces import (
     Face,
     FaceComplex,
-    brute_force_sign_vectors,
     centralization,
     closure_faces,
     enumerate_faces,

@@ -12,7 +12,7 @@ downstream checks skip it.
 from __future__ import annotations
 
 from .faces import Face, FaceComplex, closure_faces, face_leq, memoized, panels
-from .report import FAIL, PASS, CheckResult
+from .report import CheckResult, verdict
 
 BOUNDED = "bounded"
 TYPE1 = "type1"
@@ -152,9 +152,7 @@ def lemma_ch_check(complex_: FaceComplex) -> CheckResult:
                  "chi": actual, "expected": expected}
             )
     details = {"checked": checked, "skipped": skipped}
-    if failures:
-        details["failures"] = failures
-    return CheckResult("lemma_chi_closure", FAIL if failures else PASS, {}, details)
+    return verdict("lemma_chi_closure", details, failures=failures)
 
 
 def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
@@ -199,6 +197,4 @@ def lemma_chm_check(complex_: FaceComplex) -> CheckResult:
                     }
                 )
     details = {"checked": checked, "skipped": skipped}
-    if failures:
-        details["failures"] = failures
-    return CheckResult("lemma_chi_minus_panels", FAIL if failures else PASS, {}, details)
+    return verdict("lemma_chi_minus_panels", details, failures=failures)

@@ -27,8 +27,8 @@ recursion runs on the primitive integer form of each hyperplane
 with common factors divided out as it goes, in the integer-preserving spirit
 of Bareiss (1968); its one elimination, `geometry.transverse_direction`, is
 integer too. Fractions appear only when a face's `witness` is read. A
-brute-force enumerator that LP-filters all 3^m sign vectors is kept as an
-independent oracle.
+brute-force enumerator that LP-tests sign vectors, extending only feasible
+prefixes, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -333,22 +333,19 @@ def _unbounded_edges(complex_):
 
 
 def brute_force_sign_vectors(arrangement):
-    """Oracle enumeration: LP-filter all 3^m sign vectors.
+    """Oracle enumeration: the sign vectors whose cells an LP finds nonempty.
 
-    Returns the set of feasible sign vectors; independent of the incremental
+    A vector is grown one hyperplane at a time, and only feasible prefixes
+    are extended: a cell lies inside the cell of each of its prefixes, so a
+    vector with an empty prefix is empty. Independent of the incremental
     path above except for the shared feasibility primitive.
     """
     hyperplanes = arrangement.hyperplanes
-    found = set()
-    stack = [()]
-    for _ in range(len(hyperplanes)):
-        stack = [s + (c,) for s in stack for c in (PLUS, ZERO, MINUS)]
-    for signs in stack:
-        if feasible_interior(list(zip(hyperplanes, signs))) is not None:
-            found.add(signs)
-    if not hyperplanes:
-        found.add(())
-    return found
+    found = [()]
+    for _ in hyperplanes:
+        found = [s + (c,) for s in found for c in (PLUS, ZERO, MINUS)]
+        found = [s for s in found if feasible_interior(list(zip(hyperplanes, s))) is not None]
+    return set(found)
 
 
 @memoized

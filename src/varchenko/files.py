@@ -1,4 +1,5 @@
-"""Arrangement and matrix file formats, with bit-exact serializers.
+"""Arrangement and matrix file formats: parsers for both, and a bit-exact
+arrangement serializer.
 
 Arrangement file: `#` starts a comment (full line or trailing). The first
 payload line is `dim n`, n at most MAX_DIMENSION; every further payload
@@ -185,9 +186,3 @@ def _entry_mask(terms, r, c) -> int:
     if coef != 1 or any(e > 1 for _, e in mono):
         raise ValueError(f"entry ({r},{c}) must be square-free with coefficient 1")
     return sum(1 << i for i, _ in mono)
-
-
-def serialize_matrix(matrix: VMatrix, num_hyperplanes: int) -> str:
-    lines = [f"vmatrix {matrix.size} {num_hyperplanes}"]
-    lines += [text for row in matrix.entry_texts() for text in row]
-    return "\n".join(lines) + "\n"

@@ -36,6 +36,14 @@ class CheckResult:
         }
 
 
+def verdict(name: str, details: dict, **failures) -> CheckResult:
+    """The record of a whole-complex check: PASS when every failure list is
+    empty, else FAIL with every list, empty ones too, added to `details`."""
+    if not any(failures.values()):
+        return CheckResult(name, PASS, {}, details)
+    return CheckResult(name, FAIL, {}, {**details, **failures})
+
+
 def write_json(obj, out) -> None:
     """Write `obj` to `out` as `print(json.dumps(obj, indent=2, sort_keys=True))`
     would, in chunks as it goes. Takes dicts keyed by str or int, lists,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .faces import Face, FaceComplex, closure_faces, face_leq, memoized
-from .report import FAIL, PASS, CheckResult
+from .report import verdict
 
 # Up to this many faces every face id fits in one byte, and associativity
 # composes the product table as bytes.
@@ -77,7 +77,8 @@ def opposite_through(complex_: FaceComplex, a: Face, d: Face) -> Face:
 
 
 def nested_interval(complex_: FaceComplex, a: Face, d: Face):
-    """All faces k with a <= k <= d, in id order."""
+    """All faces k with a <= k <= d, in id order. Public API (see the
+    README); no check in the library calls it."""
     if not face_leq(a, d):
         raise ValueError(f"{a!r} is not below {d!r}; no interval")
     return [k for k in closure_faces(complex_, d) if face_leq(a, k)]
@@ -116,9 +117,7 @@ def tits_semigroup_check(complex_: FaceComplex):
                 )
     violations.extend(_associativity_violations(table))
     details = {"faces": len(faces), "triples": len(faces) ** 3}
-    if violations:
-        details["violations"] = violations
-    return CheckResult("tits_semigroup", FAIL if violations else PASS, {}, details)
+    return verdict("tits_semigroup", details, violations=violations)
 
 
 def _associativity_violations(table):

@@ -32,7 +32,7 @@ from .polyring import (
     mask_monomial,
     set_bits,
 )
-from .report import FAIL, PASS, CheckResult
+from .report import FAIL, PASS, CheckResult, verdict
 from .tits import _product_row, chamber_products, opposite_through
 from .witt import witt_sums
 
@@ -755,10 +755,7 @@ def v_path_identity_check(complex_: FaceComplex) -> CheckResult:
                     violations.append(
                         {"C": c.id, "D": d.id, "F": f.id, "FD": fd.id}
                     )
-    details = {"checked": checked}
-    if violations:
-        details["violations"] = violations
-    return CheckResult("v_path_identity", FAIL if violations else PASS, {}, details)
+    return verdict("v_path_identity", {"checked": checked}, violations=violations)
 
 
 def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
@@ -788,7 +785,4 @@ def mad_recurrence_check(complex_: FaceComplex) -> CheckResult:
                 for i in chamber_products(complex_, a).get(d_opp.id, ())
             ):
                 violations.append({"A": a.id, "D": d.id})
-    details = {"checked": checked}
-    if violations:
-        details["violations"] = violations
-    return CheckResult("mad_recurrence", FAIL if violations else PASS, {}, details)
+    return verdict("mad_recurrence", {"checked": checked}, violations=violations)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .euler import BOUNDED, TYPE2, TYPE3, classify, euler_closure
 from .faces import Face, FaceComplex, closure_faces, memoized
-from .report import FAIL, PASS, SKIPPED, CheckResult
+from .report import FAIL, SKIPPED, CheckResult, verdict
 from .tits import chamber_products, opposite_through, rank
 
 
@@ -101,14 +101,12 @@ def witt2_check(complex_: FaceComplex, d: Face) -> CheckResult:
     details["diagonal"] = expected_diagonal
     width, total, _ = witt_sums(complex_, d)
     ids = complex_.chamber_ids
-    if total == expected_diagonal << width * ids.index(d.id):
-        return CheckResult("witt_closure", PASS, {}, details)
-    details["violations"] = [
+    violations = [] if total == expected_diagonal << width * ids.index(d.id) else [
         {"C": c, "coefficient": k, "expected": want}
         for c, k in zip(ids, unpack(total, width, len(ids)))
         if k != (want := expected_diagonal if c == d.id else 0)
     ]
-    return CheckResult("witt_closure", FAIL, {}, details)
+    return verdict("witt_closure", details, violations=violations)
 
 
 def witt_sweep(complex_: FaceComplex) -> CheckResult:
@@ -139,8 +137,5 @@ def witt_sweep(complex_: FaceComplex) -> CheckResult:
         "closure_checked": closure_checked,
         "skipped_chambers": skipped,
     }
-    if pair_failures or closure_failures:
-        details["pair_failures"] = pair_failures
-        details["closure_failures"] = closure_failures
-        return CheckResult("witt_identities", FAIL, {}, details)
-    return CheckResult("witt_identities", PASS, {}, details)
+    return verdict("witt_identities", details, pair_failures=pair_failures,
+                   closure_failures=closure_failures)

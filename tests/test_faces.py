@@ -37,6 +37,7 @@ from varchenko.geometry import (
 from varchenko.lp import solve_lp
 from conftest import check_counts
 from corpus import DEGENERATE, random_arrangement
+from test_apartment_memo import cyclic
 
 
 def signs_of(complex_):
@@ -204,6 +205,19 @@ def test_incremental_matches_brute_force_up_to_m5(complexes):
         )
     five = random_arrangement("faces-m5", n=2, m=5)
     assert signs_of(enumerate_faces(five)) == brute_force_sign_vectors(five)
+    assert brute_force_sign_vectors(Arrangement(2, [])) == {()}
+
+
+@pytest.mark.parametrize("arrangement", [
+    lambda: parse_arrangement(cyclic(9)),
+    lambda: parse_arrangement(cyclic(10)),
+    lambda: random_arrangement(0, 3, 8, coeff_bound=3),
+], ids=["cyclic9", "cyclic10", "random_r3_m8"])
+def test_incremental_matches_brute_force_past_3_to_the_m(arrangement):
+    # the brute force extends only feasible prefixes, so cyclic m = 10
+    # takes 1,740 LPs rather than 3^10 = 59,049
+    arrangement = arrangement()
+    assert signs_of(enumerate_faces(arrangement)) == brute_force_sign_vectors(arrangement)
 
 
 def _hyperplanes(n):

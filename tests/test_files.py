@@ -12,7 +12,6 @@ from varchenko.files import (
     parse_arrangement,
     parse_matrix,
     serialize_arrangement,
-    serialize_matrix,
 )
 from varchenko.varmatrix import varchenko_matrix
 
@@ -75,12 +74,19 @@ def test_duplicate_hyperplane_rejected_with_line():
         parse_arrangement("dim 2\n1 1 1\n1 0 0\n-2 -2 -2\n")
 
 
+def matrix_text(matrix, num_hyperplanes):
+    """The matrix file of `matrix`: its header, then its entries row by row."""
+    lines = [f"vmatrix {matrix.size} {num_hyperplanes}"]
+    lines += [text for row in matrix.entry_texts() for text in row]
+    return "\n".join(lines) + "\n"
+
+
 def test_matrix_roundtrip(crossing):
     matrix = varchenko_matrix(crossing.chambers())
-    text = serialize_matrix(matrix, crossing.arrangement.size)
+    text = matrix_text(matrix, crossing.arrangement.size)
     parsed = parse_matrix(text)
     assert parsed.entries == matrix.entries
-    assert serialize_matrix(parsed, crossing.arrangement.size) == text
+    assert matrix_text(parsed, crossing.arrangement.size) == text
 
 
 def test_bundled_apartment_matrix_parses():
@@ -138,7 +144,7 @@ def test_matrix_parse_memory_follows_the_file_not_the_header():
     )
     matrix = varchenko_matrix(enumerate_faces(grid).chambers())
     assert matrix.size == 20
-    text = serialize_matrix(matrix, 10_000)
+    text = matrix_text(matrix, 10_000)
     tracemalloc.start()
     try:
         parsed = parse_matrix(text)

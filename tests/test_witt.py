@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 from varchenko.euler import classify
 from varchenko.faces import closure_faces
 from varchenko.geometry import MINUS, PLUS, ZERO
+from varchenko.report import verdict
 from varchenko.tits import rank
 from varchenko.witt import unpack, witt2_check, witt_lhs, witt_rhs, witt_sums, witt_sweep
 from oracles import witt_pair_failures
@@ -81,6 +82,24 @@ def test_witt_sweep_reports_a_corrupted_table_entry():
     result = witt_sweep(complex_)
     assert result.status == "fail"
     assert result.details["pair_failures"] == expected
+
+
+def test_verdict_passes_when_every_list_is_empty():
+    details = {"checked": 3}
+    result = verdict("example", details, violations=[], failures=[])
+    assert (result.name, result.status, result.details) == ("example", "pass", details)
+    assert details == {"checked": 3}
+
+
+def test_verdict_fails_with_every_list_when_one_is_nonempty():
+    result = verdict("example", {"checked": 3}, violations=[1], failures=[])
+    assert result.status == "fail"
+    assert result.details == {"checked": 3, "violations": [1], "failures": []}
+    # the corrupted entry breaks nested pairs only, yet the empty closure
+    # list is reported beside them
+    result = witt_sweep(corrupted_generic3()[0])
+    assert result.status == "fail"
+    assert result.details["pair_failures"] and result.details["closure_failures"] == []
 
 
 @settings(max_examples=200, deadline=None)
